@@ -12,8 +12,10 @@ JSON object per line with a stable schema, byte-identical across runs and
 worker counts.  Exit codes: 0 success, 1 corpus mismatch, 2 usage or
 configuration error, 3 no finite search bound for the requested function.
 
-``--jobs`` (default from the ``DIGITFIX_JOBS`` environment variable) sets the
-worker-pool size for the scanning searches; results never depend on it.
+``--jobs`` (default from the ``DIGITFIX_JOBS`` environment variable, else 1)
+sets the worker-pool size for the scanning searches; it is read when the
+command runs, must be a positive integer (exit 2 otherwise) and is clamped
+to ``os.cpu_count()``.  Results never depend on it.
 """
 
 from __future__ import annotations
@@ -363,6 +365,21 @@ def _run_corpus_check(args) -> int:
     return _EXIT_CORPUS if mismatches else _EXIT_OK
 
 
+def _resolve_jobs(flag: str | None) -> int:
+    """Worker count from --jobs, else DIGITFIX_JOBS, else 1, clamped to the cores."""
+    if flag is not None:
+        source, text = "--jobs", flag
+    else:
+        source, text = "DIGITFIX_JOBS", os.environ.get("DIGITFIX_JOBS") or "1"
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigurationError(f"{source} must be a positive integer, got {text!r}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 # -- parser ----------------------------------------------------------------------
 
 
@@ -371,7 +388,7 @@ def _add_common(sub, fn_required=True, engines=None, default_engine=None):
     if fn_required:
         sub.add_argument("--fn", required=True, help="function spec, e.g. pow:3, factorial")
     sub.add_argument("--format", choices=("text", "records"), default="text")
-    sub.add_argument("--jobs", type=int, default=int(os.environ.get("DIGITFIX_JOBS", "1")))
+    sub.add_argument("--jobs", help="worker processes (default: DIGITFIX_JOBS or 1)")
     if engines:
         sub.add_argument("--engine", choices=engines, default=default_engine)
 
@@ -480,6 +497,8 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else _EXIT_USAGE
     try:
+        if hasattr(args, "jobs"):
+            args.jobs = _resolve_jobs(args.jobs)
         return args.run(args)
     except UnsupportedFunctionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -149,8 +149,12 @@ def decimal_str(n: int) -> str:
     try:
         return str(n)
     except ValueError:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(max(digit_count(abs(n), 10) + 10, 640))
-        return str(n)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def elide_numeral(n: int, threshold: int = 1000) -> str:

@@ -5,10 +5,18 @@ Two interchangeable engines back the block-summation search:
 * ``scan`` tests every candidate value up to the derived ceiling.  Block
   F-sums come from a precomputed chunk table so the inner loop is a single
   list comprehension per table span.
-* ``multiset`` (width 1 only) enumerates digit multisets per length instead
-  of values: a candidate multiset is accepted exactly when the digit multiset
-  of its F-sum equals the candidate.  This turns O(b**m) work into
-  O(C(m+b-1, b-1)) and makes ten-digit ceilings searchable in seconds.
+* ``multiset`` (width 1 only) searches digit multisets per length instead
+  of values: a multiset is accepted exactly when the digit multiset of its
+  F-sum equals it.  The multisets are walked as a depth-first search over
+  digit counts, from digit b-1 down to 0, carrying the partial F-sum and
+  the slots still free.  A branch is cut when the interval of sums it can
+  still reach misses the m-digit window (bounded by prefix minima and
+  maxima of F, which need not be monotone), or when the leading digits
+  shared by that whole interval need more copies of a digit than the
+  branch can still give.  This is the method Winter used in 1985 to list
+  all 88 base-10 narcissistic numbers (OEIS A005188).  In base 10 it
+  visits a small fraction of the C(m+b-1, b-1) multisets of each length.
+  The Armstrong search shares it.
 
 Every hit re-verifies its defining equation from raw digits when the hit
 record is constructed; nothing is trusted from search state.  Output is
@@ -19,7 +27,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import accumulate
 
 from .bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
 from .digitops import BlockVector, digit_count, digit_sum, group_blocks, reverse_digits
@@ -293,27 +301,80 @@ def _run_scan(lo: int, hi: int, spec: FunctionSpec, base: int, width: int, jobs:
 # -- multiset engine -----------------------------------------------------------
 
 
-def _digits_ascending(n: int, base: int) -> tuple[int, ...]:
-    if n == 0:
-        return (0,)
-    digs = []
-    while n:
-        n, r = divmod(n, base)
-        digs.append(r)
-    digs.sort()
-    return tuple(digs)
-
-
 def _multiset_length(f_vals: list[int], base: int, m: int, cap: int | None) -> list[int]:
-    hits = []
-    for combo in combinations_with_replacement(range(base), m):
-        t = 0
-        for d in combo:
-            t += f_vals[d]
-        if cap is not None and t > cap:
-            continue
-        if _digits_ascending(t, base) == combo:
-            hits.append(t)
+    """Values t of m digits (t <= cap) equal to the F-sum of their own digits.
+
+    The pruned digit-count search of the module docstring: ``s`` is the
+    F-sum of the digits fixed so far and ``r`` the slots left for the free
+    ones.  Length 1 also tries the multiset (0,), whose sum F(0) is a hit
+    when it is 0.  Hits come in no particular order.
+    """
+    lo = base ** (m - 1) if m > 1 else 0
+    hi = base**m - 1
+    if cap is not None and cap < hi:
+        hi = cap
+    if hi < lo:
+        return []
+    # F need not be monotone (subfactorial: !0 = 1, !1 = 0), so bound the
+    # free digits 0..d by prefix extrema rather than by F(0) and F(d)
+    f_min = list(accumulate(f_vals, min))
+    f_max = list(accumulate(f_vals, max))
+    powers = [base**k for k in range(m - 1, -1, -1)]
+    counts = [0] * base
+    hits: list[int] = []
+
+    def leading_digits_fit(d: int, r: int, low: int, high: int) -> bool:
+        # every t in [low, high] starts with the digits low and high share;
+        # those above d must fit the fixed counts, the rest the r free slots
+        low, high = max(low, lo), min(high, hi)
+        used: dict[int, int] = {}
+        for p in powers:
+            head = low // p
+            if head != high // p:
+                break
+            e = head % base
+            if e <= d:
+                r -= 1
+                if r < 0:
+                    return False
+            else:
+                used[e] = used.get(e, 0) + 1
+                if used[e] > counts[e]:
+                    return False
+        return True
+
+    # a stack instead of recursion: the search is one level deep per digit,
+    # and bases above the recursion limit are valid input
+    stack: list[tuple[int, int, int, int, int, int]] = []
+
+    def push_choices(d: int, r: int, s: int) -> None:
+        # digits above d are fixed; push each count c of digit d whose reachable
+        # sums, with r - c slots left for the digits below d, meet the window
+        f_d, below_min, below_max = f_vals[d], f_min[d - 1], f_max[d - 1]
+        for c in range(r + 1):
+            s_c, rest = s + c * f_d, r - c
+            low, high = s_c + rest * below_min, s_c + rest * below_max
+            if low <= hi and high >= lo:
+                stack.append((d, c, rest, s_c, low, high))
+
+    push_choices(base - 1, m, 0)
+    while stack:
+        d, c, rest, s, low, high = stack.pop()
+        counts[d] = c  # siblings pop before anything above d changes
+        if d == 1:
+            # leaf: the zeros take the rest, and t must have exactly these counts
+            counts[0] = rest
+            t = low
+            seen = [0] * base
+            while True:
+                t, q = divmod(t, base)
+                seen[q] += 1
+                if not t:
+                    break
+            if seen == counts:
+                hits.append(low)
+        elif leading_digits_fit(d - 1, rest, low, high):
+            push_choices(d - 1, rest, s)
     return hits
 
 
@@ -371,7 +432,7 @@ def search_armstrong(base: int, max_order: int | None = None) -> list[SearchHit]
 
     Orders run from 2 up to the derived ceiling (or ``max_order``); order 1 is
     skipped because every single digit fixes itself trivially.  Each order
-    reuses the multiset enumeration with F = x**m and an exact length match.
+    reuses the multiset search with F = x**m and an exact length match.
     """
     ceiling = armstrong_order_ceiling(base)
     top = ceiling - 1 if max_order is None else min(max_order, ceiling - 1)

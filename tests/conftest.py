@@ -1,10 +1,12 @@
 """Shared helpers: independent oracles the tests check the library against.
 
 The oracles deliberately avoid the library's search engines and tables; they
-are plain per-value digit loops so an engine bug cannot hide itself.
+are plain digit loops and flat enumerations so an engine bug cannot hide itself.
 """
 
 from __future__ import annotations
+
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -55,6 +57,31 @@ def oracle_hardy(fn_text: str, base: int, width: int, ceiling: int, zero_pow=1) 
                 break
         if total == n:
             hits.append(n)
+    return hits
+
+
+def _digits_ascending(n: int, base: int) -> tuple[int, ...]:
+    if n == 0:
+        return (0,)
+    digs = []
+    while n:
+        n, r = divmod(n, base)
+        digs.append(r)
+    digs.sort()
+    return tuple(digs)
+
+
+def oracle_multiset_length(f_vals: list[int], base: int, m: int, cap: int | None) -> list[int]:
+    """Flat enumeration of every m-digit multiset: the reference for the pruned engine."""
+    hits = []
+    for combo in combinations_with_replacement(range(base), m):
+        t = 0
+        for d in combo:
+            t += f_vals[d]
+        if cap is not None and t > cap:
+            continue
+        if _digits_ascending(t, base) == combo:
+            hits.append(t)
     return hits
 
 

@@ -103,6 +103,49 @@ class TestDeterminism:
         assert code == 0
         assert [r["value"] for r in records(out)] == [1, 1634, 8208, 9474]
 
+    @pytest.mark.parametrize(
+        "env, flag",
+        [("abc", None), ("0", None), (None, "abc"), (None, "0"), (None, "-3"), ("2", "x")],
+    )
+    def test_bad_jobs_exit_two_with_one_line(self, capsys, monkeypatch, env, flag):
+        if env is None:
+            monkeypatch.delenv("DIGITFIX_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("DIGITFIX_JOBS", env)
+        argv = ["search", "hardy", "--fn", "pow:3"] + ([] if flag is None else ["--jobs", flag])
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "positive integer" in err
+
+    @pytest.mark.parametrize("cores, expected_pools", [(1, []), (2, [2])])
+    def test_jobs_clamped_to_cores_before_pool(self, capsys, monkeypatch, cores, expected_pools):
+        import digitfix.search as search_mod
+
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", InlinePool)
+        code, out, _ = run(
+            capsys, "search", "reversal", "--digits", "4", "--format", "records", "--jobs", "5"
+        )
+        assert code == 0
+        assert [r["value"] for r in records(out)] == [8712, 9801]
+        assert pools == expected_pools
+
 
 class TestBoundCommands:
     def test_bound_records_schema(self, capsys):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from digitfix.digitops import digit_count
@@ -133,7 +135,10 @@ class TestNumeralRendering:
         assert decimal_str(long_pair.x).endswith(rest.split(" ")[0])
 
     def test_decimal_str_handles_huge_values(self):
+        limit = sys.get_int_max_str_digits()
         pair = piezas_generate(4, 0)
         s = decimal_str(pair.x)
         assert len(s) == 49152
         assert s[0] != "0"
+        # the process-wide conversion guard is lifted only for the call
+        assert sys.get_int_max_str_digits() == limit

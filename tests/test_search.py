@@ -1,9 +1,14 @@
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitfix.errors import ConfigurationError, UnsupportedFunctionError
-from digitfix.funcatalog import FunctionSpec, parse_spec
+from digitfix.funcatalog import FunctionSpec, evaluate, parse_spec
 from digitfix.search import (
     SearchConfig,
+    _multiset_length,
     armstrong_hit,
     armstrong_order_ceiling,
     dudeney_hit,
@@ -21,7 +26,7 @@ from digitfix.search import (
     wells_reverse_hit,
 )
 
-from conftest import oracle_hardy
+from conftest import CATALOG_SPEC_TEXTS, oracle_hardy, oracle_multiset_length
 
 
 def values(hits):
@@ -159,6 +164,46 @@ class TestSearchArmstrong:
     def test_hits_record_their_order(self):
         hits = search_armstrong(3)
         assert [h.fn for h in hits] == ["pow:2", "pow:2", "pow:3"]
+
+    def test_base10_through_16_digits_matches_a005188(self):
+        a005188 = [
+            153, 370, 371, 407, 1634, 8208, 9474, 54748, 92727, 93084, 548834,
+            1741725, 4210818, 9800817, 9926315, 24678050, 24678051, 88593477,
+            146511208, 472335975, 534494836, 912985153, 4679307774, 32164049650,
+            32164049651, 40028394225, 42678290603, 44708635679, 49388550606,
+            82693916578, 94204591914, 28116440335967, 4338281769391370,
+            4338281769391371,
+        ]
+        assert values(search_armstrong(10, max_order=16)) == a005188
+
+
+@st.composite
+def multiset_cases(draw):
+    """A catalog F in base 2-16 and a length whose flat enumeration stays small."""
+    base = draw(st.integers(2, 16))
+    spec = parse_spec(draw(st.sampled_from(CATALOG_SPEC_TEXTS)))
+    spec = spec.with_zero_self_power(draw(st.sampled_from((0, 1))))
+    top = 1
+    while top < 40 and comb(top + base, base - 1) <= 20_000:
+        top += 1
+    m = draw(st.integers(1, top))
+    cap = draw(st.none() | st.integers(1, base**m))
+    return [evaluate(spec, d) for d in range(base)], base, m, cap
+
+
+class TestMultisetEngine:
+    @settings(max_examples=300, deadline=None)
+    @given(multiset_cases())
+    def test_pruned_search_equals_flat_enumeration(self, case):
+        f_vals, base, m, cap = case
+        got = sorted(_multiset_length(f_vals, base, m, cap))
+        assert got == sorted(oracle_multiset_length(f_vals, base, m, cap))
+
+    def test_length_one_keeps_zero_when_f0_is_zero(self):
+        # the multiset (0,) sums to F(0); search_hardy drops the 0 afterwards
+        assert sorted(_multiset_length([0, 1, 8, 27], 4, 1, None)) == [0, 1]
+        # one search level per digit: a base above the recursion limit still works
+        assert sorted(_multiset_length([d * d for d in range(1500)], 1500, 1, None)) == [0, 1]
 
 
 class TestSearchWells:
