@@ -2,9 +2,12 @@
 
 Two interchangeable engines back the block-summation search:
 
-* ``scan`` tests every candidate value up to the derived ceiling.  Block
-  F-sums come from a precomputed chunk table so the inner loop is a single
-  list comprehension per table span.
+* ``scan`` covers every candidate value up to the derived ceiling, one
+  table span (up to 2**17 values) at a time.  A value is a hit when its
+  low blocks' entry in a precomputed chunk table equals a target fixed by
+  its high blocks, so the table's positions are sorted by entry once and
+  each span costs two bisections instead of one comparison per value:
+  O(span log span) to build, O(log span) per span.
 * ``multiset`` (width 1 only) searches digit multisets per length instead
   of values: a multiset is accepted exactly when the digit multiset of its
   F-sum equals it.  The multisets are walked as a depth-first search over
@@ -25,8 +28,12 @@ sorted ascending and independent of the worker count.
 
 from __future__ import annotations
 
+import os
+from array import array
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 from .bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
@@ -56,7 +63,6 @@ __all__ = [
 ]
 
 _TABLE_SPAN = 1 << 17  # max chunk-table length per (spec, base, width)
-_CACHE_SLOTS = 3
 
 # -- result records -----------------------------------------------------------
 
@@ -173,22 +179,22 @@ def reversal_hit(value: int, base: int) -> ReversalHit:
 
 # -- scan engine ---------------------------------------------------------------
 #
-# The chunk table maps every value below one table span to the F-sum of its
-# radix-digits *padded to the full span depth*.  Padding adds F(0) once per
-# missing leading block, so sums over the canonical (unpadded) expansion
-# subtract that correction for the topmost chunk.
+# The chunk table maps every value r below one table span to the F-sum of its
+# radix-digits *padded to the full span depth*, stored as diff[r] = F-sum - r.
+# Padding adds F(0) once per missing leading block, so sums over the canonical
+# (unpadded) expansion subtract that correction for the topmost chunk.
+#
+# The value offset + r of chunk q (offset = q * span) is a hit exactly when
+# diff[r] == offset - F(q), one target per chunk.  The index lists the
+# positions 0..span-1 sorted stably by diff, so the hits of a chunk are one
+# run of it, found by two bisections and already ascending.
 
-_scan_cache: dict = {}
 
-
+@lru_cache(maxsize=3)
 def _tables(spec: FunctionSpec, base: int, width: int):
-    key = (spec, base, width)
-    cached = _scan_cache.get(key)
-    if cached is not None:
-        return cached
     radix = base**width
     f_vals = [evaluate(spec, v) for v in range(radix)]
-    table = list(f_vals)
+    table = f_vals
     span = radix
     depth = 1
     while span * radix <= _TABLE_SPAN:
@@ -196,11 +202,9 @@ def _tables(spec: FunctionSpec, base: int, width: int):
         span *= radix
         depth += 1
     diff = [t - i for i, t in enumerate(table)]
-    entry = (span, depth, radix, table, diff, f_vals[0])
-    if len(_scan_cache) >= _CACHE_SLOTS:
-        _scan_cache.pop(next(iter(_scan_cache)))
-    _scan_cache[key] = entry
-    return entry
+    del table  # table[r] == diff[r] + r; free it before the sort's peak
+    index = array("i", sorted(range(span), key=diff.__getitem__))
+    return span, depth, radix, diff, index, f_vals[0]
 
 
 def _chunk_length(v: int, radix: int) -> int:
@@ -212,29 +216,23 @@ def _chunk_length(v: int, radix: int) -> int:
     return length
 
 
-def _canonical_fsum(v: int, span: int, depth: int, radix: int, table, f0: int) -> int:
+def _canonical_fsum(v: int, span: int, depth: int, radix: int, diff, f0: int) -> int:
     """Block F-sum over the canonical expansion of v >= 1."""
     total = 0
     while True:
         v, r = divmod(v, span)
         if v:
-            total += table[r]  # interior chunk: all depth blocks are real
+            total += diff[r] + r  # interior chunk: all depth blocks are real
         else:
-            return total + table[r] - (depth - _chunk_length(r, radix)) * f0
+            return total + diff[r] + r - (depth - _chunk_length(r, radix)) * f0
 
 
-def _scan_low(lo: int, hi: int, radix: int, depth: int, diff, f0: int, hits) -> None:
-    # values below one span; group by block length so the padding correction
-    # is constant per band
-    band_lo, level = 1, 1
-    while band_lo < hi:
-        a, b = max(lo, band_lo), min(hi, band_lo * radix)
-        if a < b:
-            target = (depth - level) * f0
-            sub = diff[a:b]
-            hits.extend(a + i for i, dv in enumerate(sub) if dv == target)
-        band_lo *= radix
-        level += 1
+def _matches(diff, index, target: int, lo: int, hi: int) -> list[int]:
+    """Positions r in [lo, hi) with diff[r] == target, ascending."""
+    key = diff.__getitem__
+    a = bisect_left(index, target, key=key)
+    b = bisect_right(index, target, a, key=key)
+    return [r for r in index[a:b] if lo <= r < hi]
 
 
 def _scan_range(lo: int, hi: int, spec: FunctionSpec, base: int, width: int) -> list[int]:
@@ -246,20 +244,24 @@ def _scan_range(lo: int, hi: int, spec: FunctionSpec, base: int, width: int) -> 
             for n in range(lo, hi)
             if sum(evaluate(spec, v) for v in group_blocks(n, base, width).blocks) == n
         ]
-    span, depth, radix, table, diff, f0 = _tables(spec, base, width)
+    span, depth, radix, diff, index, f0 = _tables(spec, base, width)
     hits: list[int] = []
     for q in range(lo // span, (hi - 1) // span + 1):
-        seg_lo, seg_hi = max(lo, q * span), min(hi, (q + 1) * span)
-        if q == 0:
-            _scan_low(seg_lo, seg_hi, radix, depth, diff, f0, hits)
-            continue
         offset = q * span
-        target = offset - _canonical_fsum(q, span, depth, radix, table, f0)
-        if seg_lo == offset and seg_hi == offset + span:
-            hits.extend(offset + i for i, dv in enumerate(diff) if dv == target)
-        else:
-            sub = diff[seg_lo - offset : seg_hi - offset]
-            hits.extend(seg_lo + i for i, dv in enumerate(sub) if dv == target)
+        seg_lo, seg_hi = max(lo, offset) - offset, min(hi, offset + span) - offset
+        if q == 0:
+            # values below one span: the padding correction is constant per
+            # block length, so each band of lengths has its own target
+            band_lo, level = 1, 1
+            while band_lo < seg_hi:
+                a, b = max(seg_lo, band_lo), min(seg_hi, band_lo * radix)
+                if a < b:
+                    hits.extend(_matches(diff, index, (depth - level) * f0, a, b))
+                band_lo *= radix
+                level += 1
+            continue
+        target = offset - _canonical_fsum(q, span, depth, radix, diff, f0)
+        hits.extend(offset + r for r in _matches(diff, index, target, seg_lo, seg_hi))
     return hits
 
 
@@ -268,7 +270,7 @@ def _scan_worker(args) -> list[int]:
 
 
 def _aligned_chunks(lo: int, hi: int, jobs: int, align: int) -> list[tuple[int, int]]:
-    step = -(-(hi - lo) // jobs)
+    step = -(-(hi - lo) // max(jobs, 1))
     step = -(-step // align) * align
     chunks = []
     a = lo
@@ -279,23 +281,23 @@ def _aligned_chunks(lo: int, hi: int, jobs: int, align: int) -> list[tuple[int, 
     return chunks
 
 
+def _pool_map(worker, tasks: list, jobs: int) -> list:
+    """``worker`` over ``tasks`` in order, in a pool of at most jobs, tasks and cores workers."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [worker(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, tasks))
+
+
 def _run_scan(lo: int, hi: int, spec: FunctionSpec, base: int, width: int, jobs: int) -> list[int]:
-    if hi <= lo:
-        return []
-    if jobs <= 1:
-        return _scan_range(lo, hi, spec, base, width)
     radix = base**width
     span = radix
     while span * radix <= _TABLE_SPAN:
         span *= radix
     chunks = _aligned_chunks(lo, hi, jobs, span)
-    if len(chunks) == 1:
-        return _scan_range(lo, hi, spec, base, width)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-        parts = pool.map(_scan_worker, [(a, b, spec, base, width) for a, b in chunks])
-        hits = [v for part in parts for v in part]
-    hits.sort()
-    return hits
+    parts = _pool_map(_scan_worker, [(a, b, spec, base, width) for a, b in chunks], jobs)
+    return [v for part in parts for v in part]
 
 
 # -- multiset engine -----------------------------------------------------------
@@ -531,26 +533,18 @@ def _zero_image(spec: FunctionSpec) -> int | None:
         return None
 
 
-_digitsum_cache: dict[int, tuple[int, list[int]]] = {}
-
-
+@lru_cache(maxsize=3)
 def _digitsum_table(base: int) -> tuple[int, list[int]]:
     """Digit sums of every value below one table span.
 
     Unlike the block F-sum table, no canonical correction is needed: padded
     leading zeros contribute nothing to a digit sum.
     """
-    cached = _digitsum_cache.get(base)
-    if cached is not None:
-        return cached
     table = list(range(base))
     span = base
     while span * base <= _TABLE_SPAN:
         table = [dh + t for dh in range(base) for t in table]
         span *= base
-    if len(_digitsum_cache) >= _CACHE_SLOTS:
-        _digitsum_cache.pop(next(iter(_digitsum_cache)))
-    _digitsum_cache[base] = (span, table)
     return span, table
 
 
@@ -622,15 +616,9 @@ def search_powersum(
         ceiling = bound.s_max**p
         if cap is not None:
             ceiling = min(ceiling, cap)
-        if jobs <= 1:
-            values.extend(_powersum_scan_range(1, ceiling + 1, p, base, congruence_filter))
-        else:
-            chunks = _aligned_chunks(1, ceiling + 1, jobs, 1)
-            with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-                parts = pool.map(
-                    _powersum_worker, [(a, b, p, base, congruence_filter) for a, b in chunks]
-                )
-                values.extend(v for part in parts for v in part)
+        chunks = _aligned_chunks(1, ceiling + 1, jobs, 1)
+        tasks = [(a, b, p, base, congruence_filter) for a, b in chunks]
+        values.extend(v for part in _pool_map(_powersum_worker, tasks, jobs) for v in part)
     else:
         raise ConfigurationError(f"unknown power-sum engine {engine!r}")
     values.sort()
@@ -668,12 +656,8 @@ def search_reversal(base: int, num_digits: int, jobs: int = 1) -> list[ReversalH
     if num_digits < 2:
         raise ConfigurationError(f"reversal search needs at least 2 digits, got {num_digits}")
     lo, hi = base ** (num_digits - 1), base**num_digits
-    if jobs <= 1:
-        pairs = _reversal_scan_range(lo, hi, base)
-    else:
-        chunks = _aligned_chunks(lo, hi, jobs, 1)
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            parts = pool.map(_reversal_worker, [(a, b, base) for a, b in chunks])
-            pairs = [pair for part in parts for pair in part]
+    chunks = _aligned_chunks(lo, hi, jobs, 1)
+    parts = _pool_map(_reversal_worker, [(a, b, base) for a, b in chunks], jobs)
+    pairs = [pair for part in parts for pair in part]
     pairs.sort()
     return [reversal_hit(n, base) for n, _ in pairs]

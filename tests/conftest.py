@@ -60,6 +60,24 @@ def oracle_hardy(fn_text: str, base: int, width: int, ceiling: int, zero_pow=1) 
     return hits
 
 
+def oracle_chunk_hits(diff: list[int], target: int) -> list[int]:
+    """Positions of one chunk table whose entry equals the target, by plain comparison.
+
+    This is the per-value rule the indexed scan replaces: the value offset + i
+    of a chunk is a hit exactly when diff[i] equals the chunk's target.
+    """
+    return [i for i, dv in enumerate(diff) if dv == target]
+
+
+def oracle_block_fsum(n: int, radix: int, spec) -> int:
+    """F-sum over the canonical radix-blocks of n >= 1."""
+    total = 0
+    while n:
+        n, r = divmod(n, radix)
+        total += spec(r)
+    return total
+
+
 def _digits_ascending(n: int, base: int) -> tuple[int, ...]:
     if n == 0:
         return (0,)

@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 from digitfix.errors import ConfigurationError, UnsupportedFunctionError
 from digitfix.funcatalog import FunctionSpec, evaluate, parse_spec
 from digitfix.search import (
+    _TABLE_SPAN,
     SearchConfig,
+    _matches,
     _multiset_length,
+    _pool_map,
+    _scan_range,
+    _tables,
     armstrong_hit,
     armstrong_order_ceiling,
     dudeney_hit,
@@ -26,7 +31,13 @@ from digitfix.search import (
     wells_reverse_hit,
 )
 
-from conftest import CATALOG_SPEC_TEXTS, oracle_hardy, oracle_multiset_length
+from conftest import (
+    CATALOG_SPEC_TEXTS,
+    oracle_block_fsum,
+    oracle_chunk_hits,
+    oracle_hardy,
+    oracle_multiset_length,
+)
 
 
 def values(hits):
@@ -143,6 +154,134 @@ class TestSearchHardy:
             SearchConfig(spec=spec, base=1)
         with pytest.raises(ConfigurationError):
             search_hardy(SearchConfig())
+
+
+def chunk_span(radix: int) -> int:
+    span = radix
+    while span * radix <= _TABLE_SPAN:
+        span *= radix
+    return span
+
+
+@st.composite
+def scan_cases(draw):
+    """A catalog F in base 2-16, width 1-2, and a cap next to a chunk edge or in the low band."""
+    base = draw(st.integers(2, 16))
+    width = draw(st.integers(1, 2))
+    fn = draw(st.sampled_from(CATALOG_SPEC_TEXTS))
+    zero_pow = draw(st.sampled_from((0, 1)))
+    span = chunk_span(base**width)
+    edge = draw(st.sampled_from((None, -1, 0, 1)))
+    if edge is None:
+        cap = draw(st.integers(1, span - 1))
+    else:
+        cap = draw(st.integers(1, 2)) * span + edge
+    return fn, base, width, zero_pow, cap
+
+
+class TestIndexedScan:
+    @settings(max_examples=60, deadline=None)
+    @given(scan_cases())
+    def test_scan_equals_oracle(self, case):
+        fn, base, width, zero_pow, cap = case
+        got = run_hardy(fn, width=width, cap=cap, zero_pow=zero_pow, base=base)
+        assert got == oracle_hardy(fn, base, width, cap, zero_pow)
+
+    @pytest.mark.parametrize("fn, width", [("pow:7", 1), ("factorial", 1), ("pow:3", 2)])
+    def test_index_matches_plain_comparison(self, fn, width):
+        spec = parse_spec(fn)
+        span, depth, radix, diff, index, f0 = _tables(spec, 10, width)
+        assert sorted(index) == list(range(span))
+        for r in range(0, span, 4093):
+            assert _matches(diff, index, diff[r], 0, span) == oracle_chunk_hits(diff, diff[r])
+        # the low band: one target per block length
+        expected = []
+        band_lo, level = 1, 1
+        while band_lo < span:
+            band_hi = min(span, band_lo * radix)
+            rule = oracle_chunk_hits(diff, (depth - level) * f0)
+            expected += [i for i in rule if band_lo <= i < band_hi]
+            band_lo, level = band_hi, level + 1
+        assert _scan_range(1, span, spec, 10, width) == expected
+        # whole chunks above it, including every chunk that holds a known hit
+        chunks = {1, 2, 3} | {v // span for v in run_hardy(fn, width=width)}
+        for q in sorted(chunks - {0}):
+            offset = q * span
+            target = offset - oracle_block_fsum(q, radix, spec)
+            rule = [offset + i for i in oracle_chunk_hits(diff, target)]
+            assert _scan_range(offset, offset + span, spec, 10, width) == rule, q
+
+    def test_partial_first_and_last_chunks(self):
+        pow7 = parse_spec("pow:7")
+        assert _scan_range(1741725, 9926315, pow7, 10, 1) == [1741725, 4210818, 9800817]
+        assert _scan_range(1741726, 9926316, pow7, 10, 1) == [4210818, 9800817, 9926315]
+        # width 2 (span 10**4): a partial low band, whole chunks, a partial last chunk
+        expected = [v for v in oracle_hardy("pow:3", 10, 2, 41833) if v >= 400]
+        assert _scan_range(400, 41834, parse_spec("pow:3"), 10, 2) == expected
+        assert expected == [407, 1000, 1001, 41833]
+
+    @pytest.mark.parametrize(
+        "fn, base, cap",
+        [("factorial", 10, 250_001), ("subfactorial", 10, 200_000), ("expbase:4", 10, 600_000),
+         ("factorial", 3, 3 * 59049 + 1), ("expbase:2", 7, 2 * 117649)],
+    )
+    def test_padding_correction_when_f0_is_one(self, fn, base, cap):
+        # F(0) = 1: every missing leading block of the padded table adds 1
+        assert parse_spec(fn)(0) == 1
+        assert run_hardy(fn, base=base, cap=cap) == oracle_hardy(fn, base, 1, cap)
+
+
+class TestPoolWorkers:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import digitfix.search as search_mod
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_worker_count_is_the_least_of_jobs_tasks_and_cores(self, pools, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert _pool_map(abs, [-1, -2, -3, -4, -5], 8) == [1, 2, 3, 4, 5]
+        assert _pool_map(abs, [-1, -2, -3], 3) == [1, 2, 3]
+        assert _pool_map(abs, [-1], 8) == [1]  # one task: no pool
+        assert _pool_map(abs, [-1, -2], 1) == [1, 2]  # one job: no pool
+        assert _pool_map(abs, [], 8) == []
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert _pool_map(abs, [-1, -2], 8) == [1, 2]  # unknown core count: one
+        assert pools == [2, 2]
+
+    def test_every_pool_is_clamped_to_the_cores(self, pools, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert values(search_powersum(3, 10, engine="scan", jobs=8)) == [
+            1, 512, 4913, 5832, 17576, 19683
+        ]
+        assert [h.value for h in search_reversal(10, 4, jobs=4)] == [8712, 9801]
+        assert run_hardy("pow:5", jobs=8) == [1, 4150, 4151, 54748, 92727, 93084, 194979]
+        assert pools == [2, 2, 2]
+
+    def test_one_core_starts_no_pool(self, pools, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        assert values(search_powersum(3, 10, engine="scan", jobs=8)) == [
+            1, 512, 4913, 5832, 17576, 19683
+        ]
+        assert [h.value for h in search_reversal(10, 4, jobs=4)] == [8712, 9801]
+        assert run_hardy("pow:5", jobs=8) == [1, 4150, 4151, 54748, 92727, 93084, 194979]
+        assert pools == []
 
 
 class TestSearchArmstrong:
