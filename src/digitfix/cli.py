@@ -13,9 +13,11 @@ worker counts.  Exit codes: 0 success, 1 corpus mismatch, 2 usage or
 configuration error, 3 no finite search bound for the requested function.
 
 ``--jobs`` (default from the ``DIGITFIX_JOBS`` environment variable, else 1)
-sets the worker-pool size for the scanning searches; it is read when the
-command runs, must be a positive integer (exit 2 otherwise) and is clamped
-to ``os.cpu_count()``.  Results never depend on it.
+sets the worker-pool size of ``search powersum --engine scan``, the only
+search that runs a pool.  Every other ``search`` and ``bound`` subcommand
+accepts it and ignores it.  It is read when the command runs, must be a
+positive integer (exit 2 otherwise) and is clamped to ``os.cpu_count()``.
+Results never depend on it.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def _run_search_hardy(args) -> int:
         include_zero=args.include_zero,
     )
     bound_used = args.cap if args.cap is not None else hardy_bound(spec, args.base, args.k).n_max
-    hits = search_hardy(cfg, jobs=args.jobs)
+    hits = search_hardy(cfg)
     return _emit_hits(args, hits, bound_used)
 
 
@@ -171,7 +173,7 @@ def _run_search_powersum(args) -> int:
 
 
 def _run_search_reversal(args) -> int:
-    hits = search_reversal(args.base, args.digits, jobs=args.jobs)
+    hits = search_reversal(args.base, args.digits)
     if args.format == "records":
         for h in hits:
             print(
@@ -388,7 +390,11 @@ def _add_common(sub, fn_required=True, engines=None, default_engine=None):
     if fn_required:
         sub.add_argument("--fn", required=True, help="function spec, e.g. pow:3, factorial")
     sub.add_argument("--format", choices=("text", "records"), default="text")
-    sub.add_argument("--jobs", help="worker processes (default: DIGITFIX_JOBS or 1)")
+    sub.add_argument(
+        "--jobs",
+        help="worker processes for `search powersum --engine scan`; other subcommands "
+        "accept and ignore it (default: DIGITFIX_JOBS or 1)",
+    )
     if engines:
         sub.add_argument("--engine", choices=engines, default=default_engine)
 

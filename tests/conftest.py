@@ -78,6 +78,31 @@ def oracle_block_fsum(n: int, radix: int, spec) -> int:
     return total
 
 
+def oracle_reversal(base: int, num_digits: int) -> list[tuple[int, int]]:
+    """Brute-force reversal multiples: (n, n // reverse(n)), ascending, for every
+    num_digits-digit n with last digit nonzero that is a multiple >= 2 of its reversal."""
+    found = []
+    lo, hi = base ** (num_digits - 1), base**num_digits
+    if base == 10:
+        # string reversal is exact and much faster than per-digit divmod here
+        for n in range(lo, hi):
+            if n % 10 == 0:
+                continue
+            r = int(str(n)[::-1])
+            if r < n and n % r == 0:
+                found.append((n, n // r))
+    else:
+        for n in range(lo, hi):
+            if n % base == 0:
+                continue
+            r = 0
+            for d in digits_of(n, base):
+                r = r * base + d
+            if r < n and n % r == 0:
+                found.append((n, n // r))
+    return found
+
+
 def _digits_ascending(n: int, base: int) -> tuple[int, ...]:
     if n == 0:
         return (0,)

@@ -40,10 +40,10 @@ def values(hits):
     return [h.value for h in hits]
 
 
-def run_hardy(fn, engine="scan", width=1, zero_pow=1, jobs=1, cap=None):
+def run_hardy(fn, engine="scan", width=1, zero_pow=1, cap=None):
     spec = parse_spec(fn).with_zero_self_power(zero_pow)
     cfg = SearchConfig(spec=spec, base=10, width=width, engine=engine, cap=cap)
-    return values(search_hardy(cfg, jobs=jobs))
+    return values(search_hardy(cfg))
 
 
 def cli_records(argv):

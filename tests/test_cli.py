@@ -73,6 +73,13 @@ class TestSearchCommands:
         recs = records(out)
         assert [(r["value"], r["decomposition"][0]) for r in recs] == [(8712, 4), (9801, 9)]
 
+    def test_reversal_thirty_digits(self, capsys):
+        code, out, _ = run(capsys, "search", "reversal", "--digits", "30", "--format", "records")
+        assert code == 0
+        recs = records(out)
+        assert len(recs) == 754
+        assert all(r["value"] == r["decomposition"][0] * r["decomposition"][1] for r in recs)
+
     def test_powersum_needs_power_fn(self, capsys):
         assert run(capsys, "search", "powersum", "--fn", "factorial")[0] == 2
 
@@ -118,15 +125,15 @@ class TestDeterminism:
         assert out == ""
         assert err.count("\n") == 1 and "positive integer" in err
 
-    @pytest.mark.parametrize("cores, expected_pools", [(1, []), (2, [2])])
-    def test_jobs_clamped_to_cores_before_pool(self, capsys, monkeypatch, cores, expected_pools):
+    @pytest.fixture
+    def pools(self, monkeypatch):
         import digitfix.search as search_mod
 
-        pools = []
+        sizes = []
 
         class InlinePool:
             def __init__(self, max_workers):
-                pools.append(max_workers)
+                sizes.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -137,14 +144,31 @@ class TestDeterminism:
             def map(self, fn, items):
                 return list(map(fn, items))
 
-        monkeypatch.setattr("os.cpu_count", lambda: cores)
         monkeypatch.setattr(search_mod, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    @pytest.mark.parametrize("cores, expected_pools", [(1, []), (2, [2])])
+    def test_jobs_clamped_to_cores_before_pool(
+        self, capsys, monkeypatch, pools, cores, expected_pools
+    ):
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
         code, out, _ = run(
-            capsys, "search", "reversal", "--digits", "4", "--format", "records", "--jobs", "5"
+            capsys, "search", "powersum", "--fn", "pow:3", "--engine", "scan",
+            "--format", "records", "--jobs", "5",
         )
         assert code == 0
-        assert [r["value"] for r in records(out)] == [8712, 9801]
+        assert [r["value"] for r in records(out)] == [1, 512, 4913, 5832, 17576, 19683]
         assert pools == expected_pools
+
+    def test_only_the_powersum_scan_starts_a_pool(self, capsys, monkeypatch, pools):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        for argv in (
+            ["search", "hardy", "--fn", "pow:5"],
+            ["search", "reversal", "--digits", "4"],
+            ["bound", "hardy", "--fn", "pow:5"],
+        ):
+            assert run(capsys, *argv, "--jobs", "2")[0] == 0
+        assert pools == []
 
 
 class TestBoundCommands:

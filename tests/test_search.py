@@ -13,6 +13,7 @@ from digitfix.search import (
     _multiset_length,
     _pool_map,
     _scan_range,
+    _table_depth,
     _tables,
     armstrong_hit,
     armstrong_order_ceiling,
@@ -37,6 +38,7 @@ from conftest import (
     oracle_chunk_hits,
     oracle_hardy,
     oracle_multiset_length,
+    oracle_reversal,
 )
 
 
@@ -44,12 +46,12 @@ def values(hits):
     return [h.value for h in hits]
 
 
-def run_hardy(fn, engine="scan", width=1, cap=None, include_zero=False, zero_pow=1, base=10, jobs=1):
+def run_hardy(fn, engine="scan", width=1, cap=None, include_zero=False, zero_pow=1, base=10):
     spec = parse_spec(fn).with_zero_self_power(zero_pow)
     cfg = SearchConfig(
         spec=spec, base=base, width=width, engine=engine, cap=cap, include_zero=include_zero
     )
-    return values(search_hardy(cfg, jobs=jobs))
+    return values(search_hardy(cfg))
 
 
 class TestSearchHardy:
@@ -95,11 +97,6 @@ class TestSearchHardy:
     def test_engine_equivalence_small(self):
         for fn in ("pow:2", "pow:3", "pow:4", "expbase:2", "expbase:3", "factorial"):
             assert run_hardy(fn) == run_hardy(fn, engine="multiset"), fn
-
-    def test_jobs_do_not_change_output(self):
-        single = run_hardy("pow:5")
-        assert run_hardy("pow:5", jobs=2) == single
-        assert run_hardy("pow:5", jobs=8) == single
 
     def test_wide_blocks_use_fallback_scan(self):
         # radix 10**6 exceeds the chunk-table span; below the cap every value
@@ -165,17 +162,20 @@ def chunk_span(radix: int) -> int:
 
 @st.composite
 def scan_cases(draw):
-    """A catalog F in base 2-16, width 1-2, and a cap next to a chunk edge or in the low band."""
+    """A catalog F in base 2-16, width 1-2, and a cap up to two full table spans,
+    often next to a chunk edge of the table the scan uses."""
     base = draw(st.integers(2, 16))
     width = draw(st.integers(1, 2))
     fn = draw(st.sampled_from(CATALOG_SPEC_TEXTS))
     zero_pow = draw(st.sampled_from((0, 1)))
-    span = chunk_span(base**width)
+    radix = base**width
+    full = chunk_span(radix)
+    cap = draw(st.integers(1, full - 1) | st.integers(full, 2 * full + 1))
     edge = draw(st.sampled_from((None, -1, 0, 1)))
-    if edge is None:
-        cap = draw(st.integers(1, span - 1))
-    else:
-        cap = draw(st.integers(1, 2)) * span + edge
+    if edge is not None:
+        # move the cap next to a chunk edge of the table this scan builds
+        span = radix ** _table_depth(radix, cap + 1)
+        cap = max(1, cap // span) * span + edge
     return fn, base, width, zero_pow, cap
 
 
@@ -190,7 +190,8 @@ class TestIndexedScan:
     @pytest.mark.parametrize("fn, width", [("pow:7", 1), ("factorial", 1), ("pow:3", 2)])
     def test_index_matches_plain_comparison(self, fn, width):
         spec = parse_spec(fn)
-        span, depth, radix, diff, index, f0 = _tables(spec, 10, width)
+        full_depth = _table_depth(10**width, _TABLE_SPAN)
+        span, depth, radix, diff, index, f0 = _tables(spec, 10, width, full_depth)
         assert sorted(index) == list(range(span))
         for r in range(0, span, 4093):
             assert _matches(diff, index, diff[r], 0, span) == oracle_chunk_hits(diff, diff[r])
@@ -219,6 +220,16 @@ class TestIndexedScan:
         expected = [v for v in oracle_hardy("pow:3", 10, 2, 41833) if v >= 400]
         assert _scan_range(400, 41834, parse_spec("pow:3"), 10, 2) == expected
         assert expected == [407, 1000, 1001, 41833]
+
+    @pytest.mark.parametrize(
+        "radix, hi, depth",
+        [(10, 1, 1), (10, 100, 1), (10, 101, 2), (10, 10**4 + 1, 3), (10, 2540161, 4),
+         (10, 3874204891, 5), (10, 10**12, 5), (100, 3881197, 2), (2, 2**34, 17),
+         (2, 2**40, 17), (2**17, 5, 1), (2**17, 2**40, 1)],
+    )
+    def test_table_span_near_the_square_root_of_the_ceiling(self, radix, hi, depth):
+        # the fewest blocks with span**2 >= hi, capped at one table span
+        assert _table_depth(radix, hi) == depth
 
     @pytest.mark.parametrize(
         "fn, base, cap",
@@ -270,17 +281,13 @@ class TestPoolWorkers:
         assert values(search_powersum(3, 10, engine="scan", jobs=8)) == [
             1, 512, 4913, 5832, 17576, 19683
         ]
-        assert [h.value for h in search_reversal(10, 4, jobs=4)] == [8712, 9801]
-        assert run_hardy("pow:5", jobs=8) == [1, 4150, 4151, 54748, 92727, 93084, 194979]
-        assert pools == [2, 2, 2]
+        assert pools == [2]
 
     def test_one_core_starts_no_pool(self, pools, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 1)
         assert values(search_powersum(3, 10, engine="scan", jobs=8)) == [
             1, 512, 4913, 5832, 17576, 19683
         ]
-        assert [h.value for h in search_reversal(10, 4, jobs=4)] == [8712, 9801]
-        assert run_hardy("pow:5", jobs=8) == [1, 4150, 4151, 54748, 92727, 93084, 194979]
         assert pools == []
 
 
@@ -457,8 +464,32 @@ class TestSearchReversal:
         with pytest.raises(ConfigurationError):
             search_reversal(10, 1)
 
-    def test_jobs_deterministic(self):
-        assert search_reversal(10, 4, jobs=4) == search_reversal(10, 4)
+    def test_automaton_equals_oracle(self):
+        # every base 2-12 and every length whose brute force stays small
+        for base in range(2, 13):
+            k = 2
+            while base**k <= 200_000:
+                got = [(h.value, h.multiplier) for h in search_reversal(base, k)]
+                assert got == oracle_reversal(base, k), (base, k)
+                k += 1
+
+    def test_sloane_counts_base10(self):
+        # Sloane, "2178 and all that": 2 F(floor(k/2) - 1) hits of length k,
+        # half with multiplier 4 and half with 9 (F(0) = 0, F(1) = 1)
+        fib = [0, 1]
+        while len(fib) < 15:
+            fib.append(fib[-1] + fib[-2])
+        for k in range(2, 31):
+            multipliers = [h.multiplier for h in search_reversal(10, k)]
+            assert len(multipliers) == 2 * fib[k // 2 - 1], k
+            assert multipliers.count(4) == multipliers.count(9) == len(multipliers) // 2, k
+
+    def test_base8_seven_digits(self):
+        got = [(h.value, h.multiplier) for h in search_reversal(8, 7)]
+        assert got == [
+            (1346625, 5), (1376298, 2), (1400490, 2), (1535625, 5),
+            (1548666, 2), (1572858, 2), (1769418, 3), (2064321, 7),
+        ]
 
 
 class TestHitVerification:
