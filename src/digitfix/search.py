@@ -262,8 +262,13 @@ def _matches(diff, index, target: int, lo: int, hi: int) -> list[int]:
     return [r for r in index[a:b] if lo <= r < hi]
 
 
-def _scan_range(lo: int, hi: int, spec: FunctionSpec, base: int, width: int) -> list[int]:
-    """Values n in [lo, hi), lo >= 1, equal to their canonical block F-sum."""
+def _scan_range(
+    lo: int, hi: int, spec: FunctionSpec, base: int, width: int, depth: int | None = None
+) -> list[int]:
+    """Values n in [lo, hi), lo >= 1, equal to their canonical block F-sum.
+
+    depth picks the chunk table (blocks per entry); by default _table_depth(radix, hi).
+    """
     radix = base**width
     if radix > _TABLE_SPAN:
         return [
@@ -271,7 +276,9 @@ def _scan_range(lo: int, hi: int, spec: FunctionSpec, base: int, width: int) -> 
             for n in range(lo, hi)
             if sum(evaluate(spec, v) for v in group_blocks(n, base, width).blocks) == n
         ]
-    span, depth, radix, diff, index, f0 = _tables(spec, base, width, _table_depth(radix, hi))
+    if depth is None:
+        depth = _table_depth(radix, hi)
+    span, depth, radix, diff, index, f0 = _tables(spec, base, width, depth)
     hits: list[int] = []
     for q in range(lo // span, (hi - 1) // span + 1):
         offset = q * span

@@ -160,38 +160,48 @@ def chunk_span(radix: int) -> int:
     return span
 
 
+def full_depth(radix: int) -> int:
+    """Depth of the largest chunk table, the one a scan above _TABLE_SPAN**2 builds."""
+    depth = _table_depth(radix, _TABLE_SPAN**2)
+    assert radix**depth == chunk_span(radix)
+    return depth
+
+
 @st.composite
 def scan_cases(draw):
-    """A catalog F in base 2-16, width 1-2, and a cap up to two full table spans,
-    often next to a chunk edge of the table the scan uses."""
+    """A catalog F in base 2-16, width 1-2, a table depth up to the full one, and a cap
+    up to two full table spans, often next to a chunk edge of that depth's table."""
     base = draw(st.integers(2, 16))
     width = draw(st.integers(1, 2))
     fn = draw(st.sampled_from(CATALOG_SPEC_TEXTS))
     zero_pow = draw(st.sampled_from((0, 1)))
     radix = base**width
     full = chunk_span(radix)
+    depth = draw(st.integers(1, full_depth(radix)))
     cap = draw(st.integers(1, full - 1) | st.integers(full, 2 * full + 1))
     edge = draw(st.sampled_from((None, -1, 0, 1)))
     if edge is not None:
-        # move the cap next to a chunk edge of the table this scan builds
-        span = radix ** _table_depth(radix, cap + 1)
+        span = radix**depth
         cap = max(1, cap // span) * span + edge
-    return fn, base, width, zero_pow, cap
+    return fn, base, width, zero_pow, cap, depth
 
 
 class TestIndexedScan:
     @settings(max_examples=60, deadline=None)
     @given(scan_cases())
     def test_scan_equals_oracle(self, case):
-        fn, base, width, zero_pow, cap = case
-        got = run_hardy(fn, width=width, cap=cap, zero_pow=zero_pow, base=base)
-        assert got == oracle_hardy(fn, base, width, cap, zero_pow)
+        fn, base, width, zero_pow, cap, depth = case
+        expected = oracle_hardy(fn, base, width, cap, zero_pow)
+        # the search sizes its own table; _scan_range is also run on the drawn depth
+        assert run_hardy(fn, width=width, cap=cap, zero_pow=zero_pow, base=base) == expected
+        spec = parse_spec(fn).with_zero_self_power(zero_pow)
+        assert _scan_range(1, cap + 1, spec, base, width, depth) == expected
 
     @pytest.mark.parametrize("fn, width", [("pow:7", 1), ("factorial", 1), ("pow:3", 2)])
     def test_index_matches_plain_comparison(self, fn, width):
         spec = parse_spec(fn)
-        full_depth = _table_depth(10**width, _TABLE_SPAN)
-        span, depth, radix, diff, index, f0 = _tables(spec, 10, width, full_depth)
+        span, depth, radix, diff, index, f0 = _tables(spec, 10, width, full_depth(10**width))
+        assert span == chunk_span(radix)
         assert sorted(index) == list(range(span))
         for r in range(0, span, 4093):
             assert _matches(diff, index, diff[r], 0, span) == oracle_chunk_hits(diff, diff[r])
@@ -203,23 +213,36 @@ class TestIndexedScan:
             rule = oracle_chunk_hits(diff, (depth - level) * f0)
             expected += [i for i in rule if band_lo <= i < band_hi]
             band_lo, level = band_hi, level + 1
-        assert _scan_range(1, span, spec, 10, width) == expected
+        assert _scan_range(1, span, spec, 10, width, depth) == expected
         # whole chunks above it, including every chunk that holds a known hit
         chunks = {1, 2, 3} | {v // span for v in run_hardy(fn, width=width)}
         for q in sorted(chunks - {0}):
             offset = q * span
             target = offset - oracle_block_fsum(q, radix, spec)
             rule = [offset + i for i in oracle_chunk_hits(diff, target)]
-            assert _scan_range(offset, offset + span, spec, 10, width) == rule, q
+            assert _scan_range(offset, offset + span, spec, 10, width, depth) == rule, q
 
     def test_partial_first_and_last_chunks(self):
         pow7 = parse_spec("pow:7")
-        assert _scan_range(1741725, 9926315, pow7, 10, 1) == [1741725, 4210818, 9800817]
-        assert _scan_range(1741726, 9926316, pow7, 10, 1) == [4210818, 9800817, 9926315]
+        # the table sized from hi (depth 4) and the full one (depth 5)
+        for depth in (None, 5):
+            got = _scan_range(1741725, 9926315, pow7, 10, 1, depth)
+            assert got == [1741725, 4210818, 9800817]
+            got = _scan_range(1741726, 9926316, pow7, 10, 1, depth)
+            assert got == [4210818, 9800817, 9926315]
         # width 2 (span 10**4): a partial low band, whole chunks, a partial last chunk
         expected = [v for v in oracle_hardy("pow:3", 10, 2, 41833) if v >= 400]
         assert _scan_range(400, 41834, parse_spec("pow:3"), 10, 2) == expected
         assert expected == [407, 1000, 1001, 41833]
+
+    def test_scan_above_ten_to_the_eight_uses_the_full_table(self):
+        # ceilings above 10**8 (the default selfpow run among them) size the
+        # table to the full depth 5: low band over 5 block lengths, chunks at 10**5
+        hi = 10**8 + 1
+        assert _table_depth(10, hi) == 5
+        got = _scan_range(1, hi, parse_spec("pow:7"), 10, 1)
+        assert got == [1, 1741725, 4210818, 9800817, 9926315, 14459929]
+        assert got == run_hardy("pow:7", engine="multiset", cap=10**8)
 
     @pytest.mark.parametrize(
         "radix, hi, depth",
