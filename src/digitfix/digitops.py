@@ -1,15 +1,18 @@
 """Exact digit manipulation for natural numbers in an arbitrary base.
 
 Everything here is a pure function on Python integers, so results stay exact
-at any size.  No operation uses floating point: digit counts are derived from
-integer power comparisons, which keeps boundary cases like
+at any size.  No result depends on floating point: digit counts are decided
+by integer power comparisons, which keeps boundary cases like
 ``digit_count(b**m) == m + 1`` exact where a ``log`` would be off by one.
+:func:`digit_count` costs one power of the base, O(M(n)) for the cost M(n)
+of multiplying numbers of n's size, not the O(n**2) of repeated division.
 
 Digit and block sequences are stored least-significant first throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -134,37 +137,30 @@ def digit_sum(n: int, base: int) -> int:
     return total
 
 
-def _floor_log(n: int, base: int) -> int:
-    """Largest e with ``base**e <= n``, for n >= 1.  Pure integer arithmetic."""
-    if n < base:
-        return 0
-    # Repeated squaring up, then binary descent: O(log e) bigint operations.
-    squares = [(base, 1)]
-    while True:
-        p, e = squares[-1]
-        if p * p > n:
-            break
-        squares.append((p * p, 2 * e))
-    exponent = 0
-    rest = n
-    for p, e in reversed(squares):
-        if p <= rest:
-            rest //= p
-            exponent += e
-    return exponent
-
-
 def digit_count(n: int, base: int) -> int:
     """Number of digits of ``n`` in ``base``: the m with ``b**(m-1) <= n < b**m``.
 
     By convention ``digit_count(0) == 1`` (zero is written as a single digit).
-    Computed by integer power comparison, never by floating-point logarithm.
+    ``n.bit_length()`` pins log_b(n) to within one, so the search starts one
+    below that estimate with a single power ``base**e`` and moves up by one
+    or two exact integer comparisons: O(M(n)) in all, against the O(n**2)
+    of a descent by long division.  The float estimate only picks the
+    start; the integer comparisons alone decide the result.
     """
     _check_base(base)
     _check_natural(n)
-    if n == 0:
+    if n < base:
         return 1
-    return _floor_log(n, base) + 1
+    e = max(int((n.bit_length() - 1) / math.log2(base)) - 1, 0)
+    power = base**e
+    while power > n:  # guard: only a float estimate off by two could start too high
+        power //= base
+        e -= 1
+    power *= base  # invariant from here: base**e <= n and power == base**(e + 1)
+    while power <= n:
+        power *= base
+        e += 1
+    return e + 1
 
 
 def group_blocks(n: int, base: int, width: int) -> BlockVector:

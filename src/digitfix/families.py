@@ -16,11 +16,18 @@ Two generators:
 The x side always fills its digit field exactly; the y side is smaller than
 the field by a fixed margin when a/fe < 1/10 (one digit for index 3, two for
 index 4), so the concatenation reading pads y with leading zeros.
+
+Members run to hundreds of thousands of digits (index 4, t = 2: 180 224), and
+the records format prints them in full.  :func:`decimal_str` renders them by
+binary splitting over ``decimal.Decimal`` in O(M(n) log n), and the digit
+counts behind the field check and :func:`elide_numeral` cost one power of
+ten, O(M(n)), where M(n) is the cost of multiplying n-digit numbers; the
+interpreter's own str(int) and a count by long division are O(n**2).
 """
 
 from __future__ import annotations
 
-import sys
+import decimal
 from dataclasses import dataclass
 
 from .digitops import digit_count
@@ -144,17 +151,44 @@ def vitalis_generate(l: int) -> tuple[int, int, int, int]:
     return x, y, z, n
 
 
+# Below 2**2126 a numeral has at most 640 digits, the least int-to-str limit
+# CPython accepts, so str() is safe there whatever the limit is set to.
+_PLAIN_BITS = 2126
+
+
 def decimal_str(n: int) -> str:
-    """str(n) with CPython's int-to-decimal guard lifted for huge operands."""
-    try:
+    """Decimal numeral of n at any size, with no int-to-str limit in the way.
+
+    Small values use str().  Larger ones are split by bits, n = high * 2**w +
+    low, each half converted the same way into a ``decimal.Decimal`` and
+    joined with a cached Decimal(2)**w (Brent and Zimmermann, *Modern
+    Computer Arithmetic* 1.7).  The decimal module multiplies large
+    coefficients in subquadratic time, so the conversion costs about
+    O(M(n) log n), where str() of an int costs O(n**2) before Python 3.12.
+    The context has the largest precision and exponent range with Inexact
+    trapped, so any rounding would raise instead of returning a wrong digit.
+    """
+    if n.bit_length() <= _PLAIN_BITS:
         return str(n)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(max(digit_count(abs(n), 10) + 10, 640))
-        try:
-            return str(n)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    D = decimal.Decimal
+    powers: dict[int, decimal.Decimal] = {}
+
+    def convert(v: int, bits: int) -> decimal.Decimal:
+        if bits <= _PLAIN_BITS:
+            return D(v)
+        w = bits >> 1
+        high = v >> w
+        if w not in powers:
+            powers[w] = D(2) ** w
+        return convert(high, bits - w) * powers[w] + convert(v - (high << w), w)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        numeral = str(convert(abs(n), n.bit_length()))
+    return numeral if n > 0 else "-" + numeral
 
 
 def elide_numeral(n: int, threshold: int = 1000) -> str:

@@ -35,7 +35,10 @@ backward pass keeps those that can still close in the middle, and a
 depth-first walk visits live states only.  That costs O(k * lam**2 * b) per
 multiplier plus O(k) per hit, instead of the b**k values of a scan:
 ``search reversal --digits 30`` lists its 754 hits in a few hundredths of a
-second.
+second.  The hits themselves grow exponentially with k, so the search first
+counts the paths through the live states, one addition per move, and
+refuses to list more than 100 000 (``search reversal --digits 200`` has
+about 4 * 10**20).
 
 Every hit re-verifies its defining equation from raw digits when the hit
 record is constructed; nothing is trusted from search state.  Output is
@@ -47,7 +50,6 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import accumulate
@@ -79,6 +81,7 @@ __all__ = [
 ]
 
 _TABLE_SPAN = 1 << 17  # max chunk-table length per (spec, base, width)
+_REVERSAL_HIT_BUDGET = 100_000  # most hits one reversal search lists, about 2 s at 50 digits
 
 # -- result records -----------------------------------------------------------
 
@@ -599,6 +602,9 @@ def _pool_map(worker, tasks: list, jobs: int) -> list:
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(t) for t in tasks]
+    # imported here, so a run without a pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
@@ -668,12 +674,16 @@ def _pair_moves(lam: int, base: int, c_low: int, c_high: int, outer: bool) -> li
     return moves
 
 
-def _reversal_values(lam: int, base: int, k: int) -> list[int]:
-    """The k-digit n with last digit nonzero and n == lam * reverse(n), unordered."""
+def _reversal_automaton(lam: int, base: int, k: int):
+    """The live part of the carry automaton for one lam, and its closing rule.
+
+    Returns (layers, middle): layers[i] maps each live state after i pairs
+    to its moves (y, x, next state) into live states, and middle(state) is
+    the middle's share of n when the pairs meet in that state, or None.
+    """
     half = k // 2
 
     def middle(c_low: int, c_high: int) -> int | None:
-        # the middle's share of n once the pairs meet, or None if they cannot
         if k % 2 == 0:
             return 0 if c_low == c_high else None
         # one middle digit z: lam * z + c_low = z + base * c_high
@@ -698,10 +708,31 @@ def _reversal_values(lam: int, base: int, k: int) -> list[int]:
                 pruned[state] = kept
         layers[level] = pruned
         live = pruned.keys()
-    # depth-first over live states only: every branch ends in a hit
+    return layers, middle
+
+
+def _count_paths(layers) -> int:
+    """Paths from the start state through the live layers: one per hit.
+
+    A count over a layered DAG, from the middle outwards, one addition per move.
+    """
+    paths: dict = {}
+    for level in reversed(range(len(layers))):
+        last = level == len(layers) - 1
+        paths = {
+            state: sum(1 if last else paths[nxt] for _, _, nxt in moves)
+            for state, moves in layers[level].items()
+        }
+    return sum(paths.values())
+
+
+def _reversal_values(layers, middle, base: int, k: int) -> list[int]:
+    """The hits of one automaton, unordered: a depth-first walk over live states,
+    where every branch ends in a hit."""
+    half = k // 2
     powers = [base**i for i in range(k)]
     values = []
-    stack = [(0, (0, 0), 0)] if (0, 0) in live else []
+    stack = [(0, state, 0) for state in layers[0]]
     while stack:
         level, state, value = stack.pop()
         if level == half:
@@ -717,11 +748,23 @@ def search_reversal(base: int, num_digits: int) -> list[ReversalHit]:
 
     The multiplier lam = n / reverse(n) is below base, because n < base**k and
     reverse(n) >= base**(k-1), so one carry automaton per lam in 2..base-1
-    finds every hit.
+    finds every hit.  The hits are counted before any is listed, and a
+    search with more than ``_REVERSAL_HIT_BUDGET`` of them is refused: their
+    number grows exponentially with the length (2 * F(k // 2 - 1) in base
+    10, F the Fibonacci numbers), so listing them would not end.
     """
     if base < 2:
         raise ConfigurationError(f"numeral base must be at least 2, got {base}")
     if num_digits < 2:
         raise ConfigurationError(f"reversal search needs at least 2 digits, got {num_digits}")
-    values = sorted(v for lam in range(2, base) for v in _reversal_values(lam, base, num_digits))
+    automata = [_reversal_automaton(lam, base, num_digits) for lam in range(2, base)]
+    count = sum(_count_paths(layers) for layers, _ in automata)
+    if count > _REVERSAL_HIT_BUDGET:
+        raise ConfigurationError(
+            f"base {base} has {count} reversal multiples of {num_digits} digits, "
+            f"more than the {_REVERSAL_HIT_BUDGET} one search lists"
+        )
+    values = sorted(
+        v for layers, middle in automata for v in _reversal_values(layers, middle, base, num_digits)
+    )
     return [reversal_hit(n, base) for n in values]

@@ -42,6 +42,28 @@ def oracle_digit_sum(n: int, base: int) -> int:
     return sum(digits_of(n, base))
 
 
+def oracle_floor_log(n: int, base: int) -> int:
+    """Largest e with base**e <= n, for n >= 1, by repeated squaring and long division.
+
+    The division-based digit count that the power-and-compare one replaced.
+    """
+    if n < base:
+        return 0
+    squares = [(base, 1)]
+    while True:
+        p, e = squares[-1]
+        if p * p > n:
+            break
+        squares.append((p * p, 2 * e))
+    exponent = 0
+    rest = n
+    for p, e in reversed(squares):
+        if p <= rest:
+            rest //= p
+            exponent += e
+    return exponent
+
+
 def oracle_hardy(fn_text: str, base: int, width: int, ceiling: int, zero_pow=1) -> list[int]:
     """Brute-force block-sum fixed points in [1, ceiling] by direct divmod loops."""
     spec = parse_spec(fn_text).with_zero_self_power(zero_pow)

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -80,6 +84,17 @@ class TestSearchCommands:
         assert len(recs) == 754
         assert all(r["value"] == r["decomposition"][0] * r["decomposition"][1] for r in recs)
 
+    def test_reversal_with_too_many_hits_refused(self, capsys):
+        # 2 F(99) hits of 200 digits (Sloane); counted, never listed
+        fib = [0, 1]
+        while len(fib) < 100:
+            fib.append(fib[-1] + fib[-2])
+        code, out, err = run(capsys, "search", "reversal", "--digits", "200")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f" {2 * fib[99]} " in err
+
     def test_powersum_needs_power_fn(self, capsys):
         assert run(capsys, "search", "powersum", "--fn", "factorial")[0] == 2
 
@@ -127,8 +142,6 @@ class TestDeterminism:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        import digitfix.search as search_mod
-
         sizes = []
 
         class InlinePool:
@@ -144,7 +157,8 @@ class TestDeterminism:
             def map(self, fn, items):
                 return list(map(fn, items))
 
-        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", InlinePool)
+        # search._pool_map imports the class from here when it starts a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         return sizes
 
     @pytest.mark.parametrize("cores, expected_pools", [(1, []), (2, [2])])
@@ -169,6 +183,23 @@ class TestDeterminism:
         ):
             assert run(capsys, *argv, "--jobs", "2")[0] == 0
         assert pools == []
+
+
+def test_import_loads_no_process_pool():
+    # only `search powersum --engine scan` with --jobs > 1 needs a pool
+    import digitfix
+
+    src = os.path.dirname(os.path.dirname(digitfix.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, digitfix.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestBoundCommands:
@@ -204,6 +235,30 @@ class TestFamilyCommands:
         (rec,) = records(out)
         assert len(rec["x"]) == 192 and len(rec["y"]) == 191
         assert rec["verified"] is True
+
+    def test_piezas_huge_member_matches_frozen_digests(self, capsys):
+        # the same digests pin this job's answer in perfbench/workloads.json
+        code, out, _ = run(
+            capsys, "family", "piezas", "--fermat-index", "4", "--t", "2",
+            "--format", "records",
+        )
+        assert code == 0
+        (rec,) = records(out)
+        assert rec["block_length"] == 180224 and rec["verified"] is True
+        assert hashlib.sha256(rec["x"].encode()).hexdigest() == (
+            "eae576214686f158856f7f54bb41d63fbdcbed0c4544ade1c6f7b32d0ad5ab8d"
+        )
+        assert hashlib.sha256(rec["y"].encode()).hexdigest() == (
+            "753c803dc5ebbf116727398d185a79edc3c193a71f7da6e116f4f1a78209f33f"
+        )
+        # the text path elides the same numerals to head...tail (digit count)
+        code, text, _ = run(capsys, "family", "piezas", "--fermat-index", "4", "--t", "2")
+        assert code == 0
+        for side, field in (("x", 180224), ("y", 180222)):
+            full = rec[side]
+            assert len(full) == field
+            line = f"{side} = {full[:12]}...{full[-12:]} ({field} digits)"
+            assert line in text.splitlines()
 
     def test_piezas_text_elides(self, capsys):
         code, out, _ = run(

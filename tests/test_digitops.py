@@ -16,7 +16,7 @@ from digitfix.digitops import (
 from digitfix.errors import ConfigurationError
 from digitfix.funcatalog import fibonacci, subfactorial
 
-from conftest import oracle_digit_sum
+from conftest import oracle_digit_sum, oracle_floor_log
 
 naturals = st.integers(min_value=0, max_value=10**24)
 bases = st.integers(min_value=2, max_value=16)
@@ -88,6 +88,33 @@ class TestDigitCount:
     def test_bracketing(self, n, b):
         m = digit_count(n, b)
         assert b ** (m - 1) <= n < b**m
+
+    @given(
+        st.integers(min_value=2, max_value=36),
+        st.integers(min_value=0, max_value=20_000),
+        st.sampled_from((-1, 0, 1)),
+    )
+    def test_equals_division_oracle_next_to_powers(self, b, k, step):
+        # b**k - 1, b**k and b**k + 1 sit on both sides of a digit-count change
+        n = b**k + step
+        if n >= 1:
+            assert digit_count(n, b) == oracle_floor_log(n, b) + 1
+
+    @given(
+        st.integers(min_value=2, max_value=36),
+        st.integers(min_value=1, max_value=100_000).flatmap(
+            lambda bits: st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1)
+        ),
+    )
+    def test_equals_division_oracle_at_any_size(self, b, n):
+        assert digit_count(n, b) == oracle_floor_log(n, b) + 1
+
+    def test_huge_power_of_ten(self):
+        # the family members run to hundreds of thousands of digits
+        x = 10**180_223
+        assert digit_count(x - 1, 10) == 180_223
+        assert digit_count(x, 10) == 180_224
+        assert digit_count(x + 1, 10) == 180_224
 
 
 class TestGroupBlocks:

@@ -1,6 +1,9 @@
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitfix.digitops import digit_count
 from digitfix.errors import ConfigurationError
@@ -140,5 +143,55 @@ class TestNumeralRendering:
         s = decimal_str(pair.x)
         assert len(s) == 49152
         assert s[0] != "0"
-        # the process-wide conversion guard is lifted only for the call
+        # the process-wide conversion guard is never touched
         assert sys.get_int_max_str_digits() == limit
+
+
+def plain_str(n: int) -> str:
+    """str(n) with the int-to-str limit lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestDecimalStr:
+    """decimal_str against str() with the interpreter's limit lifted."""
+
+    def test_edges(self):
+        # next to the plain/split cut (2**2126) and to CPython's default
+        # limit of 4300 digits
+        for n in (
+            [0, 1, 9, 10, 12345, -1, -987654321, 2**64, 2**2127, -(2**5000 + 3)]
+            + [2**2126 + d for d in (-1, 0, 1)]
+            + [10**640 + d for d in (-1, 0, 1)]
+            + [10**4300 + d for d in (-1, 0, 1)]
+            + [10**4299, 2**14286, 7**10_000]
+            + [random.Random(b).getrandbits(b) for b in (50_000, 100_003, 200_000, 500_000)]
+        ):
+            assert decimal_str(n) == plain_str(n), n.bit_length()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=200_000).flatmap(
+            lambda bits: st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1)
+        )
+    )
+    def test_any_size(self, n):
+        assert decimal_str(n) == plain_str(n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2127, max_value=60_000), st.integers(min_value=0, max_value=9))
+    def test_runs_of_zeros_and_nines(self, bits, d):
+        # halves whose low part has leading zero bits, and carries through 9s
+        for n in (1 << bits, (1 << bits) - 1, 10 ** (bits // 3) * d + 1):
+            assert decimal_str(n) == plain_str(n)
+
+    def test_leaves_the_limit_alone(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("decimal_str changed the int-to-str limit")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        assert decimal_str(10**50_000) == "1" + "0" * 50_000

@@ -9,9 +9,11 @@ from digitfix.funcatalog import FunctionSpec, evaluate, parse_spec
 from digitfix.search import (
     _TABLE_SPAN,
     SearchConfig,
+    _count_paths,
     _matches,
     _multiset_length,
     _pool_map,
+    _reversal_automaton,
     _scan_range,
     _table_depth,
     _tables,
@@ -268,8 +270,6 @@ class TestIndexedScan:
 class TestPoolWorkers:
     @pytest.fixture
     def pools(self, monkeypatch):
-        import digitfix.search as search_mod
-
         sizes = []
 
         class RecordingPool:
@@ -285,7 +285,8 @@ class TestPoolWorkers:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
+        # search._pool_map imports the class from here when it starts a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         return sizes
 
     def test_worker_count_is_the_least_of_jobs_tasks_and_cores(self, pools, monkeypatch):
@@ -506,6 +507,34 @@ class TestSearchReversal:
             multipliers = [h.multiplier for h in search_reversal(10, k)]
             assert len(multipliers) == 2 * fib[k // 2 - 1], k
             assert multipliers.count(4) == multipliers.count(9) == len(multipliers) // 2, k
+
+    def test_counts_meet_sloane_without_listing(self):
+        # the path count of each live automaton, against 2 F(floor(k/2) - 1)
+        # split evenly between multipliers 4 and 9, far past any listable length
+        fib = [0, 1]
+        while len(fib) < 200:
+            fib.append(fib[-1] + fib[-2])
+        for k in list(range(2, 61)) + [199, 200, 201, 400]:
+            counts = {
+                lam: _count_paths(_reversal_automaton(lam, 10, k)[0]) for lam in range(2, 10)
+            }
+            assert counts == {lam: fib[k // 2 - 1] if lam in (4, 9) else 0 for lam in counts}, k
+
+    def test_counts_equal_listed_hits(self):
+        for base, k in ((3, 30), (5, 9), (8, 7), (10, 30), (12, 6), (16, 5)):
+            total = sum(
+                _count_paths(_reversal_automaton(lam, base, k)[0]) for lam in range(2, base)
+            )
+            assert total == len(search_reversal(base, k)), (base, k)
+
+    def test_refused_above_the_budget(self, monkeypatch):
+        import digitfix.search as search_mod
+
+        monkeypatch.setattr(search_mod, "_REVERSAL_HIT_BUDGET", 754)
+        assert len(search_reversal(10, 30)) == 754
+        monkeypatch.setattr(search_mod, "_REVERSAL_HIT_BUDGET", 753)
+        with pytest.raises(ConfigurationError, match=" 754 "):
+            search_reversal(10, 30)
 
     def test_base8_seven_digits(self):
         got = [(h.value, h.multiplier) for h in search_reversal(8, 7)]
