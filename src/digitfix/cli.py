@@ -9,15 +9,13 @@ Subcommands::
 
 Text mode prints human-readable lines; ``--format records`` emits one compact
 JSON object per line with a stable schema, byte-identical across runs and
-worker counts.  Exit codes: 0 success, 1 corpus mismatch, 2 usage or
+``--jobs`` values.  Exit codes: 0 success, 1 corpus mismatch, 2 usage or
 configuration error, 3 no finite search bound for the requested function.
 
 ``--jobs`` (default from the ``DIGITFIX_JOBS`` environment variable, else 1)
-sets the worker-pool size of ``search powersum --engine scan``, the only
-search that runs a pool.  Every other ``search`` and ``bound`` subcommand
-accepts it and ignores it.  It is read when the command runs, must be a
-positive integer (exit 2 otherwise) and is clamped to ``os.cpu_count()``.
-Results never depend on it.
+is accepted for compatibility and ignored: every search runs in one process.
+It is still read when the command runs and must be a positive integer (exit
+2 otherwise).  Results never depend on it.
 """
 
 from __future__ import annotations
@@ -167,7 +165,6 @@ def _run_search_powersum(args) -> int:
         engine=args.engine,
         cap=args.cap,
         include_zero=args.include_zero,
-        jobs=args.jobs,
     )
     return _emit_hits(args, hits, bound_used)
 
@@ -367,8 +364,8 @@ def _run_corpus_check(args) -> int:
     return _EXIT_CORPUS if mismatches else _EXIT_OK
 
 
-def _resolve_jobs(flag: str | None) -> int:
-    """Worker count from --jobs, else DIGITFIX_JOBS, else 1, clamped to the cores."""
+def _check_jobs(flag: str | None) -> None:
+    """Refuse a --jobs, else DIGITFIX_JOBS, that is not a positive integer; the count is unused."""
     if flag is not None:
         source, text = "--jobs", flag
     else:
@@ -379,7 +376,6 @@ def _resolve_jobs(flag: str | None) -> int:
         jobs = 0
     if jobs < 1:
         raise ConfigurationError(f"{source} must be a positive integer, got {text!r}")
-    return min(jobs, os.cpu_count() or 1)
 
 
 # -- parser ----------------------------------------------------------------------
@@ -392,8 +388,8 @@ def _add_common(sub, fn_required=True, engines=None, default_engine=None):
     sub.add_argument("--format", choices=("text", "records"), default="text")
     sub.add_argument(
         "--jobs",
-        help="worker processes for `search powersum --engine scan`; other subcommands "
-        "accept and ignore it (default: DIGITFIX_JOBS or 1)",
+        help="accepted and ignored: every search runs in one process; must be a positive "
+        "integer (default: DIGITFIX_JOBS or 1)",
     )
     if engines:
         sub.add_argument("--engine", choices=engines, default=default_engine)
@@ -504,7 +500,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else _EXIT_USAGE
     try:
         if hasattr(args, "jobs"):
-            args.jobs = _resolve_jobs(args.jobs)
+            _check_jobs(args.jobs)
         return args.run(args)
     except UnsupportedFunctionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,8 +23,21 @@ Two interchangeable engines back the block-summation search:
 
 The scan sizes its chunk table to its ceiling n_max: the span is the first
 power of the radix at or above sqrt(n_max), up to 2**17, so the table build
-and the per-span bisections both cost about sqrt(n_max).  It runs in one
-process: every worker of a pool would build the same table again.
+and the per-span bisections both cost about sqrt(n_max).
+
+The power-sum scan (n = digit_sum(n)**p) walks the same kind of chunks over
+a table of digit sums, but indexes them by digit sum instead of by entry:
+in a chunk whose high part has digit sum hs, the only possible fixed points
+are (hs + s)**p for s up to the table's largest entry (b-1) * depth, so a
+chunk costs at most (b-1) * depth + 1 look-ups, and in practice one or two,
+since powers below the chunk are skipped: about 2 microseconds per chunk
+(Python 3.11, one core), so base 10, p = 5 covers its 59 050 chunks in
+about 0.1 s.  The chunk count, ceiling // span + 1, is known before any
+work, and a scan of more than 200 000 chunks (about 0.4 s) is refused:
+base 10, p = 6 has 25 651 643.
+
+Every search runs in one process: a pool's workers would each build the
+same table again.
 
 The reversal search (n = lam * reverse(n)) is a carry automaton, after Young
 ("k-reverse multiples", Fib. Quart. 30, 1992) and Sloane ("2178 and all
@@ -42,12 +55,11 @@ about 4 * 10**20).
 
 Every hit re-verifies its defining equation from raw digits when the hit
 record is constructed; nothing is trusted from search state.  Output is
-sorted ascending and independent of the worker count.
+sorted ascending.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -82,6 +94,7 @@ __all__ = [
 
 _TABLE_SPAN = 1 << 17  # max chunk-table length per (spec, base, width)
 _REVERSAL_HIT_BUDGET = 100_000  # most hits one reversal search lists, about 2 s at 50 digits
+_POWERSUM_SCAN_CHUNK_BUDGET = 200_000  # most table spans one power-sum scan covers
 
 # -- result records -----------------------------------------------------------
 
@@ -507,6 +520,8 @@ def search_dudeney(
     """
     if engine not in ("scan", "preimage"):
         raise ConfigurationError(f"unknown digit-sum engine {engine!r}")
+    if cap is not None and cap < 1:
+        raise ConfigurationError(f"cap must be at least 1, got {cap}")
     if engine == "preimage":
         if spec.kind != "power":
             raise ConfigurationError("the preimage engine needs a pure power function")
@@ -514,8 +529,6 @@ def search_dudeney(
         if cap is not None:
             n_hi = min(n_hi, cap + 1)
     elif cap is not None:
-        if cap < 1:
-            raise ConfigurationError(f"cap must be at least 1, got {cap}")
         n_hi = cap + 1
     else:
         n_hi = dudeney_cutoff(spec, base).cutoff
@@ -542,71 +555,52 @@ def _digitsum_table(base: int) -> tuple[int, list[int]]:
     Unlike the block F-sum table, no canonical correction is needed: padded
     leading zeros contribute nothing to a digit sum.
     """
+    span = _digitsum_span(base)
     table = list(range(base))
-    span = base
-    while span * base <= _TABLE_SPAN:
+    while len(table) < span:
         table = [dh + t for dh in range(base) for t in table]
-        span *= base
     return span, table
 
 
-def _powersum_scan_range(lo: int, hi: int, p: int, base: int, filtered: bool) -> list[int]:
+def _digitsum_span(base: int) -> int:
+    """Length of the digit-sum table of ``base``: its largest power up to one table span."""
+    span = base
+    while span * base <= _TABLE_SPAN:
+        span *= base
+    return span
+
+
+def _powersum_scan_range(lo: int, hi: int, p: int, base: int) -> list[int]:
+    """Values n in [lo, hi), lo >= 1, with digit_sum(n)**p == n, ascending.
+
+    In chunk q of the digit-sum table, with hs the digit sum of q, the value
+    q * span + r has digit sum hs + table[r], and table[r] lies in 0..top.
+    So the only possible hits are n = m**p for m in hs..hs+top with n in the
+    chunk, and each costs one look-up: table[n - q * span] == m - hs.  Roots
+    whose power lies below the chunk are skipped: the least root m_lo with
+    m_lo**p at or above the chunk's first value only grows from chunk to chunk.
+    """
     span, table = _digitsum_table(base)
-    mod = base - 1
-    residues = None
-    if filtered and mod > 1:
-        # digit_sum(n) = n (mod b-1), so a fixed point needs n**p = n (mod b-1)
-        residues = sorted(r for r in range(mod) if (pow(r, p, mod) - r) % mod == 0)
+    top = table[-1]  # the digit sum (b-1) * depth of span - 1, the largest entry
     hits = []
+    m_lo = 1
     for q in range(lo // span, (hi - 1) // span + 1):
-        seg_lo, seg_hi = max(lo, q * span), min(hi, (q + 1) * span)
         offset = q * span
+        seg_lo, seg_hi = max(lo, offset), min(hi, offset + span)
+        while m_lo**p < seg_lo:
+            m_lo += 1
         hs = 0
         v = q
         while v:
             v, r = divmod(v, span)
             hs += table[r]
-        if residues is None:
-            for n in range(seg_lo, seg_hi):
-                if (hs + table[n - offset]) ** p == n:
-                    hits.append(n)
-        else:
-            # visit only the admissible residue classes, stepping by mod
-            for r0 in residues:
-                first = seg_lo + (r0 - seg_lo) % mod
-                for n in range(first, seg_hi, mod):
-                    if (hs + table[n - offset]) ** p == n:
-                        hits.append(n)
-    hits.sort()
+        for m in range(max(m_lo, hs), hs + top + 1):
+            n = m**p
+            if n >= seg_hi:
+                break
+            if table[n - offset] == m - hs:
+                hits.append(n)
     return hits
-
-
-def _powersum_worker(args) -> list[int]:
-    return _powersum_scan_range(*args)
-
-
-def _split_range(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
-    """[lo, hi) cut into at most jobs consecutive pieces of near-equal length."""
-    step = -(-(hi - lo) // max(jobs, 1))
-    chunks = []
-    a = lo
-    while a < hi:
-        b = min(hi, a + step)
-        chunks.append((a, b))
-        a = b
-    return chunks
-
-
-def _pool_map(worker, tasks: list, jobs: int) -> list:
-    """``worker`` over ``tasks`` in order, in a pool of at most jobs, tasks and cores workers."""
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [worker(t) for t in tasks]
-    # imported here, so a run without a pool never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
 
 
 def search_powersum(
@@ -615,18 +609,24 @@ def search_powersum(
     engine: str = "preimage",
     cap: int | None = None,
     include_zero: bool = False,
-    jobs: int = 1,
-    congruence_filter: bool = True,
 ) -> list[SearchHit]:
     """All n with digit_sum(n)**p == n.
 
     The preimage engine enumerates candidate digit sums s and keeps s**p when
-    its digit sum comes back to s.  The scan engine walks candidate values up
-    to s_max**p (or cap): every fixed point is s**p for an admissible s, so
-    nothing lies beyond that, and unlike the coarse b**(p*p) ceiling the bound
-    follows directly from the digit-count necessary condition even for tiny
-    bases.  Both engines return identical hit sets.
+    its digit sum comes back to s.  The scan engine covers every value up
+    to s_max**p (or cap), one digit-sum table span at a time, checking only
+    the powers that can fall in each span (:func:`_powersum_scan_range`):
+    every fixed point is s**p for an admissible s, so nothing lies beyond
+    that, and unlike the coarse b**(p*p) ceiling the bound follows directly
+    from the digit-count necessary condition even for tiny bases.  Its
+    number of spans is known before any work, and a scan of more than
+    ``_POWERSUM_SCAN_CHUNK_BUDGET`` of them is refused.  Both engines return
+    identical hit sets.
     """
+    if engine not in ("preimage", "scan"):
+        raise ConfigurationError(f"unknown power-sum engine {engine!r}")
+    if cap is not None and cap < 1:
+        raise ConfigurationError(f"cap must be at least 1, got {cap}")
     bound = powersum_bound(p, base)
     values = []
     if include_zero:
@@ -638,16 +638,19 @@ def search_powersum(
                 break
             if digit_sum(n, base) == s:
                 values.append(n)
-    elif engine == "scan":
+    else:
         ceiling = bound.s_max**p
         if cap is not None:
             ceiling = min(ceiling, cap)
-        chunks = _split_range(1, ceiling + 1, jobs)
-        tasks = [(a, b, p, base, congruence_filter) for a, b in chunks]
-        values.extend(v for part in _pool_map(_powersum_worker, tasks, jobs) for v in part)
-    else:
-        raise ConfigurationError(f"unknown power-sum engine {engine!r}")
-    values.sort()
+        span = _digitsum_span(base)
+        chunks = ceiling // span + 1
+        if chunks > _POWERSUM_SCAN_CHUNK_BUDGET:
+            raise ConfigurationError(
+                f"the power-sum scan of pow:{p} in base {base} covers {chunks} chunks of "
+                f"{span} values, more than the {_POWERSUM_SCAN_CHUNK_BUDGET} one search runs; "
+                "the preimage engine finds the same hits"
+            )
+        values.extend(_powersum_scan_range(1, ceiling + 1, p, base))
     return [powersum_hit(v, base, p) for v in values]
 
 

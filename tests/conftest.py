@@ -6,6 +6,7 @@ are plain digit loops and flat enumerations so an engine bug cannot hide itself.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations_with_replacement
 
 import pytest
@@ -40,6 +41,29 @@ def digits_of(n: int, base: int) -> list[int]:
 
 def oracle_digit_sum(n: int, base: int) -> int:
     return sum(digits_of(n, base))
+
+
+@cache
+def _low_digit_sums(base: int) -> list[int]:
+    return [oracle_digit_sum(r, base) for r in range(base**4)]
+
+
+def oracle_powersum(lo: int, hi: int, p: int, base: int) -> list[int]:
+    """Every n in [lo, hi) with digit_sum(n)**p == n, ascending, checked one value at a time.
+
+    The per-value loop the digit-sum index replaced: the digit sum of n is that
+    of its high part plus a table entry for its low four digits.
+    """
+    low = base**4
+    table = _low_digit_sums(base)
+    hits = []
+    for q in range(lo // low, (hi - 1) // low + 1):
+        offset = q * low
+        hs = oracle_digit_sum(q, base)
+        for n in range(max(lo, offset), min(hi, offset + low)):
+            if (hs + table[n - offset]) ** p == n:
+                hits.append(n)
+    return hits
 
 
 def oracle_floor_log(n: int, base: int) -> int:

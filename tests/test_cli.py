@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -98,6 +99,31 @@ class TestSearchCommands:
     def test_powersum_needs_power_fn(self, capsys):
         assert run(capsys, "search", "powersum", "--fn", "factorial")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["powersum", "--fn", "pow:3"],
+            ["powersum", "--fn", "pow:3", "--engine", "scan"],
+            ["dudeney", "--fn", "pow:3", "--engine", "preimage"],
+            ["dudeney", "--fn", "pow:3"],
+            ["hardy", "--fn", "pow:3"],
+            ["wells", "--fn", "factorial"],
+        ],
+    )
+    def test_cap_below_one_exits_two_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, "search", *argv, "--cap", "-5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: cap must be at least 1, got -5\n"
+
+    @pytest.mark.parametrize("p, chunks", [(6, 25651643), (9, 3077203640493538)])
+    def test_powersum_scan_over_budget_exits_two_with_the_chunk_count(self, capsys, p, chunks):
+        code, out, err = run(capsys, "search", "powersum", "--fn", f"pow:{p}", "--engine", "scan")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f" {chunks} chunks " in err
+
     def test_zero_pow_zero_flag(self, capsys):
         code, out, _ = run(
             capsys, "search", "hardy", "--fn", "selfpow", "--engine", "multiset",
@@ -140,66 +166,47 @@ class TestDeterminism:
         assert out == ""
         assert err.count("\n") == 1 and "positive integer" in err
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return list(map(fn, items))
-
-        # search._pool_map imports the class from here when it starts a pool
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-        return sizes
-
-    @pytest.mark.parametrize("cores, expected_pools", [(1, []), (2, [2])])
-    def test_jobs_clamped_to_cores_before_pool(
-        self, capsys, monkeypatch, pools, cores, expected_pools
-    ):
-        monkeypatch.setattr("os.cpu_count", lambda: cores)
-        code, out, _ = run(
-            capsys, "search", "powersum", "--fn", "pow:3", "--engine", "scan",
-            "--format", "records", "--jobs", "5",
-        )
-        assert code == 0
-        assert [r["value"] for r in records(out)] == [1, 512, 4913, 5832, 17576, 19683]
-        assert pools == expected_pools
-
-    def test_only_the_powersum_scan_starts_a_pool(self, capsys, monkeypatch, pools):
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        for argv in (
-            ["search", "hardy", "--fn", "pow:5"],
-            ["search", "reversal", "--digits", "4"],
-            ["bound", "hardy", "--fn", "pow:5"],
-        ):
-            assert run(capsys, *argv, "--jobs", "2")[0] == 0
-        assert pools == []
-
 
 def test_import_loads_no_process_pool():
-    # only `search powersum --engine scan` with --jobs > 1 needs a pool
+    # every search runs in one process, whatever --jobs says
     import digitfix
 
     src = os.path.dirname(os.path.dirname(digitfix.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
-        "import sys, digitfix.cli; "
+        "import contextlib, io, sys, digitfix.cli\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert digitfix.cli.main(sys.argv[1:]) == 0\n"
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    for argv in ([], ["search", "powersum", "--fn", "pow:3", "--engine", "scan", "--jobs", "2"]):
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]", argv
+
+
+def test_no_module_imports_a_process_pool():
+    import digitfix
+
+    package = os.path.dirname(digitfix.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] not in ("concurrent", "multiprocessing"), (name, module)
 
 
 class TestBoundCommands:

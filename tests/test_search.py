@@ -10,9 +10,10 @@ from digitfix.search import (
     _TABLE_SPAN,
     SearchConfig,
     _count_paths,
+    _digitsum_span,
     _matches,
     _multiset_length,
-    _pool_map,
+    _powersum_scan_range,
     _reversal_automaton,
     _scan_range,
     _table_depth,
@@ -40,6 +41,7 @@ from conftest import (
     oracle_chunk_hits,
     oracle_hardy,
     oracle_multiset_length,
+    oracle_powersum,
     oracle_reversal,
 )
 
@@ -267,54 +269,6 @@ class TestIndexedScan:
         assert run_hardy(fn, base=base, cap=cap) == oracle_hardy(fn, base, 1, cap)
 
 
-class TestPoolWorkers:
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # search._pool_map imports the class from here when it starts a pool
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-        return sizes
-
-    def test_worker_count_is_the_least_of_jobs_tasks_and_cores(self, pools, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        assert _pool_map(abs, [-1, -2, -3, -4, -5], 8) == [1, 2, 3, 4, 5]
-        assert _pool_map(abs, [-1, -2, -3], 3) == [1, 2, 3]
-        assert _pool_map(abs, [-1], 8) == [1]  # one task: no pool
-        assert _pool_map(abs, [-1, -2], 1) == [1, 2]  # one job: no pool
-        assert _pool_map(abs, [], 8) == []
-        monkeypatch.setattr("os.cpu_count", lambda: None)
-        assert _pool_map(abs, [-1, -2], 8) == [1, 2]  # unknown core count: one
-        assert pools == [2, 2]
-
-    def test_every_pool_is_clamped_to_the_cores(self, pools, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        assert values(search_powersum(3, 10, engine="scan", jobs=8)) == [
-            1, 512, 4913, 5832, 17576, 19683
-        ]
-        assert pools == [2]
-
-    def test_one_core_starts_no_pool(self, pools, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
-        assert values(search_powersum(3, 10, engine="scan", jobs=8)) == [
-            1, 512, 4913, 5832, 17576, 19683
-        ]
-        assert pools == []
-
-
 class TestSearchArmstrong:
     def test_base3(self):
         assert values(search_armstrong(3)) == [5, 8, 17]
@@ -452,24 +406,56 @@ class TestSearchPowersum:
         assert values(search_powersum(2, 10)) == [1, 81]
 
     def test_engines_agree(self):
-        for p, b in [(2, 10), (3, 10), (2, 2), (3, 7), (4, 10)]:
-            pre = values(search_powersum(p, b, engine="preimage"))
-            scan = values(search_powersum(p, b, engine="scan"))
-            assert pre == scan, (p, b)
-
-    def test_congruence_filter_changes_nothing(self):
-        filtered = values(search_powersum(3, 10, engine="scan"))
-        unfiltered = values(search_powersum(3, 10, engine="scan", congruence_filter=False))
-        assert filtered == unfiltered
+        for b in range(2, 17):
+            for p in (2, 3, 4):
+                pre = values(search_powersum(p, b, engine="preimage"))
+                assert values(search_powersum(p, b, engine="scan")) == pre, (p, b)
 
     def test_duality_with_dudeney(self):
         roots = values(search_dudeney(parse_spec("pow:3"), 10))
         assert sorted(s**3 for s in roots) == values(search_powersum(3, 10))
 
-    def test_scan_jobs_deterministic(self):
-        single = values(search_powersum(3, 10, engine="scan"))
-        assert values(search_powersum(3, 10, engine="scan", jobs=2)) == single
-        assert values(search_powersum(3, 10, engine="scan", jobs=8)) == single
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.integers(2, 16),
+        p=st.integers(2, 4),
+        q=st.integers(0, 40),
+        edge=st.sampled_from([-1, 0, 1]),
+        chunks=st.integers(0, 3),
+        tail=st.sampled_from([-1, 0, 1, 7]),
+    )
+    def test_scan_range_matches_per_value_oracle(self, base, p, q, edge, chunks, tail):
+        # ranges start and end at chunk edges (q*span - 1, q*span, q*span + 1)
+        # and cover up to three whole chunks
+        span = _digitsum_span(base)
+        lo = max(1, q * span + edge)
+        hi = max(lo, (lo // span + chunks) * span + tail)
+        assert _powersum_scan_range(lo, hi, p, base) == oracle_powersum(lo, hi, p, base)
+
+    @pytest.mark.parametrize(
+        "base, p, n",
+        [(27, 5, 18**5), (33, 5, 108175616801)],  # first and last value of a chunk
+    )
+    def test_scan_range_finds_hits_on_chunk_edges(self, base, p, n):
+        span = _digitsum_span(base)
+        assert n % span in (0, span - 1)
+        assert _powersum_scan_range(n, n + 1, p, base) == [n]
+        assert _powersum_scan_range(n - span, n + span, p, base) == [n]
+        assert _powersum_scan_range(n - 1, n, p, base) == []
+        assert _powersum_scan_range(n + 1, n + 2, p, base) == []
+
+    def test_fifth_powers_and_the_chunk_budget_edge(self, monkeypatch):
+        # base 10, p = 5: ceiling 90**5, so 59 050 chunks of 10**5 values
+        fifth = [1, 17210368, 52521875, 60466176, 205962976]
+        assert values(search_powersum(5, 10)) == fifth
+        assert values(search_powersum(5, 10, engine="scan")) == fifth
+        monkeypatch.setattr("digitfix.search._POWERSUM_SCAN_CHUNK_BUDGET", 59050)
+        assert values(search_powersum(5, 10, engine="scan")) == fifth
+        monkeypatch.setattr("digitfix.search._POWERSUM_SCAN_CHUNK_BUDGET", 59049)
+        with pytest.raises(ConfigurationError, match=" 59050 chunks "):
+            search_powersum(5, 10, engine="scan")
+        # a cap shrinks the scan, and with it the chunk count
+        assert values(search_powersum(5, 10, engine="scan", cap=10**8)) == fifth[:4]
 
 
 class TestSearchReversal:
