@@ -25,16 +25,12 @@ The scan sizes its chunk table to its ceiling n_max: the span is the first
 power of the radix at or above sqrt(n_max), up to 2**17, so the table build
 and the per-span bisections both cost about sqrt(n_max).
 
-The power-sum scan (n = digit_sum(n)**p) walks the same kind of chunks over
-a table of digit sums, but indexes them by digit sum instead of by entry:
-in a chunk whose high part has digit sum hs, the only possible fixed points
-are (hs + s)**p for s up to the table's largest entry (b-1) * depth, so a
-chunk costs at most (b-1) * depth + 1 look-ups, and in practice one or two,
-since powers below the chunk are skipped: about 2 microseconds per chunk
-(Python 3.11, one core), so base 10, p = 5 covers its 59 050 chunks in
-about 0.1 s.  The chunk count, ceiling // span + 1, is known before any
-work, and a scan of more than 200 000 chunks (about 0.4 s) is refused:
-base 10, p = 6 has 25 651 643.
+The power-sum scan (n = digit_sum(n)**p) walks the roots instead of the
+values: every fixed point is m**p for its own digit sum m <= s_max, so the
+scan forms each power below its ceiling and reads its digit sum from a
+table of the digit sums below one span (the largest power of the radix up
+to 2**17), one span digit at a time.  That costs O(s_max * depth) look-ups
+for any p: base 10, p = 9 checks its 81 roots at once.
 
 Every search runs in one process: a pool's workers would each build the
 same table again.
@@ -94,7 +90,6 @@ __all__ = [
 
 _TABLE_SPAN = 1 << 17  # max chunk-table length per (spec, base, width)
 _REVERSAL_HIT_BUDGET = 100_000  # most hits one reversal search lists, about 2 s at 50 digits
-_POWERSUM_SCAN_CHUNK_BUDGET = 200_000  # most table spans one power-sum scan covers
 
 # -- result records -----------------------------------------------------------
 
@@ -555,51 +550,35 @@ def _digitsum_table(base: int) -> tuple[int, list[int]]:
     Unlike the block F-sum table, no canonical correction is needed: padded
     leading zeros contribute nothing to a digit sum.
     """
-    span = _digitsum_span(base)
     table = list(range(base))
-    while len(table) < span:
-        table = [dh + t for dh in range(base) for t in table]
-    return span, table
-
-
-def _digitsum_span(base: int) -> int:
-    """Length of the digit-sum table of ``base``: its largest power up to one table span."""
     span = base
     while span * base <= _TABLE_SPAN:
+        table = [dh + t for dh in range(base) for t in table]
         span *= base
-    return span
+    return span, table
 
 
 def _powersum_scan_range(lo: int, hi: int, p: int, base: int) -> list[int]:
     """Values n in [lo, hi), lo >= 1, with digit_sum(n)**p == n, ascending.
 
-    In chunk q of the digit-sum table, with hs the digit sum of q, the value
-    q * span + r has digit sum hs + table[r], and table[r] lies in 0..top.
-    So the only possible hits are n = m**p for m in hs..hs+top with n in the
-    chunk, and each costs one look-up: table[n - q * span] == m - hs.  Roots
-    whose power lies below the chunk are skipped: the least root m_lo with
-    m_lo**p at or above the chunk's first value only grows from chunk to chunk.
+    Such an n is m**p for its digit sum m, so only the powers m**p in
+    [lo, hi) are checked.  The digit sum of n is read from the table one
+    span digit at a time: table[r] for r = n mod span, plus the same for
+    the quotient, until it is 0.
     """
     span, table = _digitsum_table(base)
-    top = table[-1]  # the digit sum (b-1) * depth of span - 1, the largest entry
     hits = []
-    m_lo = 1
-    for q in range(lo // span, (hi - 1) // span + 1):
-        offset = q * span
-        seg_lo, seg_hi = max(lo, offset), min(hi, offset + span)
-        while m_lo**p < seg_lo:
-            m_lo += 1
-        hs = 0
-        v = q
-        while v:
-            v, r = divmod(v, span)
-            hs += table[r]
-        for m in range(max(m_lo, hs), hs + top + 1):
-            n = m**p
-            if n >= seg_hi:
-                break
-            if table[n - offset] == m - hs:
+    m = 1
+    while (n := m**p) < hi:
+        if n >= lo:
+            q, r = divmod(n, span)
+            ds = table[r]
+            while q:
+                q, r = divmod(q, span)
+                ds += table[r]
+            if ds == m:
                 hits.append(n)
+        m += 1
     return hits
 
 
@@ -614,14 +593,12 @@ def search_powersum(
 
     The preimage engine enumerates candidate digit sums s and keeps s**p when
     its digit sum comes back to s.  The scan engine covers every value up
-    to s_max**p (or cap), one digit-sum table span at a time, checking only
-    the powers that can fall in each span (:func:`_powersum_scan_range`):
-    every fixed point is s**p for an admissible s, so nothing lies beyond
-    that, and unlike the coarse b**(p*p) ceiling the bound follows directly
-    from the digit-count necessary condition even for tiny bases.  Its
-    number of spans is known before any work, and a scan of more than
-    ``_POWERSUM_SCAN_CHUNK_BUDGET`` of them is refused.  Both engines return
-    identical hit sets.
+    to s_max**p (or cap) by checking the powers m**p in that range against
+    a table of digit sums (:func:`_powersum_scan_range`): every fixed point
+    is s**p for an admissible s, so nothing lies beyond that, and unlike the
+    coarse b**(p*p) ceiling the bound follows directly from the digit-count
+    necessary condition even for tiny bases.  Both engines return identical
+    hit sets.
     """
     if engine not in ("preimage", "scan"):
         raise ConfigurationError(f"unknown power-sum engine {engine!r}")
@@ -642,14 +619,6 @@ def search_powersum(
         ceiling = bound.s_max**p
         if cap is not None:
             ceiling = min(ceiling, cap)
-        span = _digitsum_span(base)
-        chunks = ceiling // span + 1
-        if chunks > _POWERSUM_SCAN_CHUNK_BUDGET:
-            raise ConfigurationError(
-                f"the power-sum scan of pow:{p} in base {base} covers {chunks} chunks of "
-                f"{span} values, more than the {_POWERSUM_SCAN_CHUNK_BUDGET} one search runs; "
-                "the preimage engine finds the same hits"
-            )
         values.extend(_powersum_scan_range(1, ceiling + 1, p, base))
     return [powersum_hit(v, base, p) for v in values]
 

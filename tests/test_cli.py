@@ -116,14 +116,6 @@ class TestSearchCommands:
         assert out == ""
         assert err == "error: cap must be at least 1, got -5\n"
 
-    @pytest.mark.parametrize("p, chunks", [(6, 25651643), (9, 3077203640493538)])
-    def test_powersum_scan_over_budget_exits_two_with_the_chunk_count(self, capsys, p, chunks):
-        code, out, err = run(capsys, "search", "powersum", "--fn", f"pow:{p}", "--engine", "scan")
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert f" {chunks} chunks " in err
-
     def test_zero_pow_zero_flag(self, capsys):
         code, out, _ = run(
             capsys, "search", "hardy", "--fn", "selfpow", "--engine", "multiset",

@@ -10,7 +10,7 @@ from digitfix.search import (
     _TABLE_SPAN,
     SearchConfig,
     _count_paths,
-    _digitsum_span,
+    _digitsum_table,
     _matches,
     _multiset_length,
     _powersum_scan_range,
@@ -419,43 +419,55 @@ class TestSearchPowersum:
     @given(
         base=st.integers(2, 16),
         p=st.integers(2, 4),
-        q=st.integers(0, 40),
+        root=st.integers(1, 60),
+        at_hit=st.booleans(),
         edge=st.sampled_from([-1, 0, 1]),
-        chunks=st.integers(0, 3),
+        chunks=st.integers(0, 2),
         tail=st.sampled_from([-1, 0, 1, 7]),
     )
-    def test_scan_range_matches_per_value_oracle(self, base, p, q, edge, chunks, tail):
-        # ranges start and end at chunk edges (q*span - 1, q*span, q*span + 1)
-        # and cover up to three whole chunks
-        span = _digitsum_span(base)
+    def test_scan_range_matches_per_value_oracle(self, base, p, root, at_hit, edge, chunks, tail):
+        # each range is placed around a power: a fixed point when at_hit, else
+        # root**p.  It starts at an edge of that power's table span (q*span - 1,
+        # q*span, q*span + 1) and ends up to two spans later at a span edge.
+        span = _digitsum_table(base)[0]
+        if at_hit:
+            hits = values(search_powersum(p, base))
+            n = hits[root % len(hits)]
+        else:
+            n = root**p
+        q = n // span
         lo = max(1, q * span + edge)
-        hi = max(lo, (lo // span + chunks) * span + tail)
-        assert _powersum_scan_range(lo, hi, p, base) == oracle_powersum(lo, hi, p, base)
+        hi = (q + 1 + chunks) * span + tail
+        got = _powersum_scan_range(lo, hi, p, base)
+        assert got == oracle_powersum(lo, hi, p, base)
+        if at_hit and lo <= n < hi:
+            assert n in got
 
     @pytest.mark.parametrize(
         "base, p, n",
-        [(27, 5, 18**5), (33, 5, 108175616801)],  # first and last value of a chunk
+        [(27, 5, 18**5), (33, 5, 108175616801)],  # first and last value of a span
     )
-    def test_scan_range_finds_hits_on_chunk_edges(self, base, p, n):
-        span = _digitsum_span(base)
+    def test_scan_range_finds_hits_on_span_edges(self, base, p, n):
+        span = _digitsum_table(base)[0]
         assert n % span in (0, span - 1)
         assert _powersum_scan_range(n, n + 1, p, base) == [n]
         assert _powersum_scan_range(n - span, n + span, p, base) == [n]
         assert _powersum_scan_range(n - 1, n, p, base) == []
         assert _powersum_scan_range(n + 1, n + 2, p, base) == []
 
-    def test_fifth_powers_and_the_chunk_budget_edge(self, monkeypatch):
-        # base 10, p = 5: ceiling 90**5, so 59 050 chunks of 10**5 values
+    def test_fifth_powers(self):
         fifth = [1, 17210368, 52521875, 60466176, 205962976]
         assert values(search_powersum(5, 10)) == fifth
         assert values(search_powersum(5, 10, engine="scan")) == fifth
-        monkeypatch.setattr("digitfix.search._POWERSUM_SCAN_CHUNK_BUDGET", 59050)
-        assert values(search_powersum(5, 10, engine="scan")) == fifth
-        monkeypatch.setattr("digitfix.search._POWERSUM_SCAN_CHUNK_BUDGET", 59049)
-        with pytest.raises(ConfigurationError, match=" 59050 chunks "):
-            search_powersum(5, 10, engine="scan")
-        # a cap shrinks the scan, and with it the chunk count
-        assert values(search_powersum(5, 10, engine="scan", cap=10**8)) == fifth[:4]
+        # the cap is inclusive
+        assert values(search_powersum(5, 10, engine="scan", cap=fifth[-1])) == fifth
+        assert values(search_powersum(5, 10, engine="scan", cap=fifth[-1] - 1)) == fifth[:4]
+
+    @pytest.mark.parametrize("p, base", [(6, 10), (9, 10), (12, 10), (7, 100), (20, 3)])
+    def test_engines_agree_on_high_powers(self, p, base):
+        # the scan walks the s_max roots, so its cost does not grow with s_max**p
+        pre = values(search_powersum(p, base))
+        assert values(search_powersum(p, base, engine="scan")) == pre
 
 
 class TestSearchReversal:
