@@ -5,6 +5,14 @@ digits, powers of digits and digit blocks, digit counts and digit sums of a
 function value, reversal multiples) with search ceilings derived so the
 exhaustive scans are complete, and generate the infinite concatenated-square
 and cube identity families with exact big-integer verification.
+
+Start-up is the floor of every command, so importing the package must stay
+cheap: nothing it imports may load ``inspect`` (records subclass
+``_record.Record``, not the standard library's generated record classes),
+and ``fractions``, ``decimal`` and ``importlib.resources`` are imported
+inside the functions that need them (polynomial specs, numerals past 640
+digits, the corpus).  ``tests/test_cli.py::test_import_loads_no_process_pool``
+enforces this.
 """
 
 from .bounds import (

@@ -18,11 +18,10 @@ Three shapes of result:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
+from ._record import Record, setfield
 from .digitops import digit_count
 from .errors import ConfigurationError, UnsupportedFunctionError
+from .families import decimal_str
 from .funcatalog import FunctionSpec, evaluate, fibonacci, subfactorial
 
 __all__ = [
@@ -35,16 +34,16 @@ __all__ = [
     "wells_cutoff",
 ]
 
-# Upper rational bound on e = 2.71828182845904523536...; an over-approximation
-# keeps the derived factorial cutoff on the sound side.
-_E_HI = Fraction(271828182845904524, 10**17)
+# Upper rational bound on e = 2.71828182845904523536..., as (numerator,
+# denominator); an over-approximation keeps the derived factorial cutoff on the
+# sound side.
+_E_HI = (271828182845904524, 10**17)
 
 # Largest block value table we will enumerate to find max F over a block.
 _POLY_MAX_SCAN = 1 << 16
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """A derived ceiling for the block-summation search, with its derivation.
 
     ``s_k`` is the maximum of F over a single block, ``block_threshold`` the
@@ -52,14 +51,18 @@ class BoundReport:
     M or more blocks), and ``n_max = (M-1) * s_k`` the inclusive value ceiling.
     """
 
-    s_k: int
-    block_threshold: int
-    n_max: int
-    justification: tuple[str, ...]
+    __slots__ = ("s_k", "block_threshold", "n_max", "justification")
+
+    def __init__(
+        self, s_k: int, block_threshold: int, n_max: int, justification: tuple[str, ...]
+    ) -> None:
+        setfield(self, "s_k", s_k)
+        setfield(self, "block_threshold", block_threshold)
+        setfield(self, "n_max", n_max)
+        setfield(self, "justification", justification)
 
 
-@dataclass(frozen=True)
-class CutoffReport:
+class CutoffReport(Record):
     """A cutoff N: no fixed point of the family exists at or above N.
 
     ``witnesses`` holds (n, lhs, rhs) triples recorded at the decision
@@ -68,15 +71,22 @@ class CutoffReport:
     integer arithmetic; ``predicate_scan`` marks a plain windowed scan.
     """
 
-    cutoff: int
-    method: str
-    witnesses: tuple[tuple[int, int, int], ...]
+    __slots__ = ("cutoff", "method", "witnesses")
+
+    def __init__(
+        self, cutoff: int, method: str, witnesses: tuple[tuple[int, int, int], ...]
+    ) -> None:
+        setfield(self, "cutoff", cutoff)
+        setfield(self, "method", method)
+        setfield(self, "witnesses", witnesses)
 
 
-@dataclass(frozen=True)
-class PowerSumBound:
-    coarse: int  # the blunt analytic ceiling b**(p*p)
-    s_max: int  # largest digit sum any fixed point can have
+class PowerSumBound(Record):
+    __slots__ = ("coarse", "s_max")
+
+    def __init__(self, coarse: int, s_max: int) -> None:
+        setfield(self, "coarse", coarse)  # the blunt analytic ceiling b**(p*p)
+        setfield(self, "s_max", s_max)  # largest digit sum any fixed point can have
 
 
 def _max_over_block(spec: FunctionSpec, radix: int) -> int:
@@ -114,19 +124,26 @@ def hardy_bound(spec: FunctionSpec, base: int, width: int = 1) -> BoundReport:
         raise ConfigurationError(f"block width must be at least 1, got {width}")
     radix = base**width
     s_k = _max_over_block(spec, radix)
-    lines = [f"s = max F(v) for v in [0, {radix}) = {s_k}"]
+    # decimal_str: the numbers can pass the interpreter's int-to-str digit limit
+    r, s = decimal_str(radix), decimal_str(s_k)
+    lines = [f"s = max F(v) for v in [0, {r}) = {s}"]
     m = 1
     while radix ** (m - 1) <= m * s_k:
         m += 1
     if m > 1:
         prev = m - 1
         lines.append(
-            f"m = {prev}: {radix}^{prev - 1} = {radix ** (prev - 1)}"
-            f" <= {prev}*{s_k} = {prev * s_k}"
+            f"m = {prev}: {r}^{prev - 1} = {decimal_str(radix ** (prev - 1))}"
+            f" <= {prev}*{s} = {decimal_str(prev * s_k)}"
         )
-    lines.append(f"m = {m}: {radix}^{m - 1} = {radix ** (m - 1)} > {m}*{s_k} = {m * s_k}")
+    lines.append(
+        f"m = {m}: {r}^{m - 1} = {decimal_str(radix ** (m - 1))}"
+        f" > {m}*{s} = {decimal_str(m * s_k)}"
+    )
     n_max = (m - 1) * s_k
-    lines.append(f"no solution has {m} or more blocks; ceiling = {m - 1}*{s_k} = {n_max}")
+    lines.append(
+        f"no solution has {m} or more blocks; ceiling = {m - 1}*{s} = {decimal_str(n_max)}"
+    )
     return BoundReport(s_k=s_k, block_threshold=m, n_max=n_max, justification=tuple(lines))
 
 
@@ -170,7 +187,7 @@ def wells_cutoff(spec: FunctionSpec, base: int) -> CutoffReport:
         return CutoffReport(n, "analytic", _wells_witnesses(spec, base, n, "ge"))
 
     if kind == "factorial":
-        n = (base * _E_HI.numerator) // _E_HI.denominator + 1
+        n = (base * _E_HI[0]) // _E_HI[1] + 1
         return CutoffReport(n, "analytic", _wells_witnesses(spec, base, n, "ge"))
 
     if kind == "subfactorial":
@@ -205,7 +222,7 @@ def wells_cutoff(spec: FunctionSpec, base: int) -> CutoffReport:
     if kind in ("power", "polynomial"):
         if kind == "power":
             degree = spec.exponent
-            cmaj = Fraction(1)
+            cmaj = 1
         else:
             degree = len(spec.coeffs) - 1
             cmaj = sum(abs(c) for c in spec.coeffs)
@@ -224,15 +241,15 @@ def wells_cutoff(spec: FunctionSpec, base: int) -> CutoffReport:
 # -- sum-of-digits fixed points ----------------------------------------------
 
 
-def _poly_majorant(spec: FunctionSpec) -> tuple[Fraction, int]:
-    """(C, d) with F(n) <= C * n**d for all n >= 1."""
+def _poly_majorant(spec: FunctionSpec) -> tuple:
+    """(C, d) with F(n) <= C * n**d for all n >= 1; C is an int or a Fraction."""
     growth = spec.growth_class
     if growth.kind != "polynomial":
         raise UnsupportedFunctionError(
             f"{spec.text} grows too fast for a digit-sum cutoff; supply a cap"
         )
     if spec.kind == "power":
-        return Fraction(1), spec.exponent
+        return 1, spec.exponent
     return sum(abs(c) for c in spec.coeffs), len(spec.coeffs) - 1
 
 

@@ -49,8 +49,17 @@ _EXIT_USAGE = 2
 _EXIT_UNSUPPORTED = 3
 
 
-def _record(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _record(value) -> str:
+    """Compact JSON with sorted keys, as ``json.dumps`` writes it, except that
+    integers of any size print in full: str() and ``json`` refuse those past
+    the interpreter's int-to-str digit limit."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return decimal_str(value)
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_record(value[k])}" for k in sorted(value)) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_record, value)) + "]"
+    return json.dumps(value)
 
 
 def _spec_from(args) -> FunctionSpec:
@@ -215,9 +224,9 @@ def _run_bound_hardy(args) -> int:
             )
         )
         return _EXIT_OK
-    print(f"block image maximum s = {report.s_k}")
+    print(f"block image maximum s = {elide_numeral(report.s_k)}")
     print(f"block count threshold M = {report.block_threshold}")
-    print(f"search ceiling n_max = {report.n_max}")
+    print(f"search ceiling n_max = {elide_numeral(report.n_max)}")
     for line in report.justification:
         print(f"  {line}")
     return _EXIT_OK

@@ -24,9 +24,8 @@ Entry schema (one JSON object per entry):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
 
+from ._record import Record, setfield
 from .errors import ConfigurationError
 from .families import decimal_str, piezas_generate, verify_concat_square, vitalis_generate
 from .funcatalog import parse_spec
@@ -44,35 +43,74 @@ from .search import (
 __all__ = ["CorpusEntry", "CorpusReport", "EntryResult", "corpus_check", "load_corpus"]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    id: str
-    kind: str
-    expected: object
-    family: str | None = None
-    base: int = 10
-    k: int = 1
-    fn: str | None = None
-    engine: str | None = None
-    cap: int | None = None
-    max_order: int | None = None
-    digits: int | None = None
-    include_zero: bool = False
-    zero_pow_zero: int = 1
-    erratum: bool = False
-    note: str = ""
+class CorpusEntry(Record):
+    __slots__ = (
+        "id",
+        "kind",
+        "expected",
+        "family",
+        "base",
+        "k",
+        "fn",
+        "engine",
+        "cap",
+        "max_order",
+        "digits",
+        "include_zero",
+        "zero_pow_zero",
+        "erratum",
+        "note",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        kind: str,
+        expected: object,
+        family: str | None = None,
+        base: int = 10,
+        k: int = 1,
+        fn: str | None = None,
+        engine: str | None = None,
+        cap: int | None = None,
+        max_order: int | None = None,
+        digits: int | None = None,
+        include_zero: bool = False,
+        zero_pow_zero: int = 1,
+        erratum: bool = False,
+        note: str = "",
+    ) -> None:
+        setfield(self, "id", id)
+        setfield(self, "kind", kind)
+        setfield(self, "expected", expected)
+        setfield(self, "family", family)
+        setfield(self, "base", base)
+        setfield(self, "k", k)
+        setfield(self, "fn", fn)
+        setfield(self, "engine", engine)
+        setfield(self, "cap", cap)
+        setfield(self, "max_order", max_order)
+        setfield(self, "digits", digits)
+        setfield(self, "include_zero", include_zero)
+        setfield(self, "zero_pow_zero", zero_pow_zero)
+        setfield(self, "erratum", erratum)
+        setfield(self, "note", note)
 
 
-@dataclass(frozen=True)
-class EntryResult:
-    entry: CorpusEntry
-    ok: bool
-    actual: object
+class EntryResult(Record):
+    __slots__ = ("entry", "ok", "actual")
+
+    def __init__(self, entry: CorpusEntry, ok: bool, actual: object) -> None:
+        setfield(self, "entry", entry)
+        setfield(self, "ok", ok)
+        setfield(self, "actual", actual)
 
 
-@dataclass(frozen=True)
-class CorpusReport:
-    results: tuple[EntryResult, ...] = field(default_factory=tuple)
+class CorpusReport(Record):
+    __slots__ = ("results",)
+
+    def __init__(self, results: tuple[EntryResult, ...] = ()) -> None:
+        setfield(self, "results", results)
 
     @property
     def mismatches(self) -> tuple[EntryResult, ...]:
@@ -80,6 +118,10 @@ class CorpusReport:
 
 
 def load_corpus() -> list[CorpusEntry]:
+    # imported here: importlib.resources costs start-up and, from Python 3.12
+    # on, imports inspect, which no other command needs
+    from importlib import resources
+
     raw = resources.files("digitfix").joinpath("data/corpus.json").read_text()
     entries = []
     seen = set()

@@ -13,8 +13,8 @@ Digit and block sequences are stored least-significant first throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record, setfield
 from .errors import ConfigurationError
 
 __all__ = [
@@ -40,8 +40,7 @@ def _check_natural(n: int) -> None:
         raise ValueError(f"expected a natural number, got {n}")
 
 
-@dataclass(frozen=True)
-class DigitVector:
+class DigitVector(Record):
     """Positional digits of a natural number, least-significant first.
 
     The canonical form produced by :func:`to_digits` has no leading zeros
@@ -50,46 +49,43 @@ class DigitVector:
     produced.
     """
 
-    digits: tuple[int, ...]
-    base: int
+    __slots__ = ("digits", "base")
 
-    def __post_init__(self) -> None:
-        _check_base(self.base)
-        if not self.digits:
+    def __init__(self, digits: tuple[int, ...], base: int) -> None:
+        _check_base(base)
+        if not digits:
             raise ValueError("digit vector must hold at least one digit")
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range for base {self.base}")
+        for d in digits:
+            if not 0 <= d < base:
+                raise ValueError(f"digit {d} out of range for base {base}")
+        setfield(self, "digits", digits)
+        setfield(self, "base", base)
 
     @property
     def is_canonical(self) -> bool:
         return self.digits == (0,) or self.digits[-1] != 0
 
 
-@dataclass(frozen=True)
-class BlockVector:
+class BlockVector(Record):
     """Width-``k`` digit blocks of a number, least-significant first.
 
     Each block is the value of ``k`` consecutive base-``base`` digits, so the
     blocks are the digits of the number in radix ``base**block_width``.
     """
 
-    blocks: tuple[int, ...]
-    base: int
-    block_width: int
+    __slots__ = ("blocks", "base", "block_width")
 
-    def __post_init__(self) -> None:
-        _check_base(self.base)
-        if self.block_width < 1:
-            raise ConfigurationError(
-                f"block width must be at least 1, got {self.block_width}"
-            )
-        radix = self.base**self.block_width
-        for v in self.blocks:
+    def __init__(self, blocks: tuple[int, ...], base: int, block_width: int) -> None:
+        _check_base(base)
+        if block_width < 1:
+            raise ConfigurationError(f"block width must be at least 1, got {block_width}")
+        radix = base**block_width
+        for v in blocks:
             if not 0 <= v < radix:
-                raise ValueError(
-                    f"block {v} out of range for base {self.base} width {self.block_width}"
-                )
+                raise ValueError(f"block {v} out of range for base {base} width {block_width}")
+        setfield(self, "blocks", blocks)
+        setfield(self, "base", base)
+        setfield(self, "block_width", block_width)
 
     @property
     def radix(self) -> int:
@@ -97,7 +93,7 @@ class BlockVector:
 
 
 def _digits_lsb(n: int, base: int) -> list[int]:
-    """Raw digit list used by the hot search paths; skips dataclass wrapping."""
+    """Raw digit list used by the hot search paths; skips the DigitVector record."""
     if n == 0:
         return [0]
     out = []

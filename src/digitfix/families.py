@@ -27,9 +27,7 @@ interpreter's own str(int) and a count by long division are O(n**2).
 
 from __future__ import annotations
 
-import decimal
-from dataclasses import dataclass
-
+from ._record import Record, setfield
 from .digitops import digit_count
 from .errors import ConfigurationError
 
@@ -52,16 +50,26 @@ FERMAT_PRIMES = {2: 17, 3: 257, 4: 65537}
 SEED_PAIRS = ((12, 33, 2), (88, 33, 2))
 
 
-@dataclass(frozen=True)
-class PiezasParams:
+class PiezasParams(Record):
     """Derived parameters of one member of the Fermat-prime family."""
 
-    fermat_index: int
-    t: int
-    fe: int  # the Fermat prime 2**(2**i) + 1
-    a: int  # 2**(2**(i-1)), one less than the previous Fermat number
-    l: int  # (fe - 1) / 4
-    u: int  # 4t + 3
+    __slots__ = ("fermat_index", "t", "fe", "a", "l", "u")
+
+    def __init__(
+        self,
+        fermat_index: int,
+        t: int,
+        fe: int,  # the Fermat prime 2**(2**i) + 1
+        a: int,  # 2**(2**(i-1)), one less than the previous Fermat number
+        l: int,  # (fe - 1) / 4
+        u: int,  # 4t + 3
+    ) -> None:
+        setfield(self, "fermat_index", fermat_index)
+        setfield(self, "t", t)
+        setfield(self, "fe", fe)
+        setfield(self, "a", a)
+        setfield(self, "l", l)
+        setfield(self, "u", u)
 
     @classmethod
     def from_index(cls, fermat_index: int, t: int) -> "PiezasParams":
@@ -86,13 +94,15 @@ class PiezasParams:
         return self.l * self.u
 
 
-@dataclass(frozen=True)
-class ConcatSquarePair:
+class ConcatSquarePair(Record):
     """Equal-field pair with x*10**block_length + y == x**2 + y**2."""
 
-    x: int
-    y: int
-    block_length: int
+    __slots__ = ("x", "y", "block_length")
+
+    def __init__(self, x: int, y: int, block_length: int) -> None:
+        setfield(self, "x", x)
+        setfield(self, "y", y)
+        setfield(self, "block_length", block_length)
 
 
 def piezas_generate(fermat_index: int, t: int) -> ConcatSquarePair:
@@ -167,9 +177,12 @@ def decimal_str(n: int) -> str:
     O(M(n) log n), where str() of an int costs O(n**2) before Python 3.12.
     The context has the largest precision and exponent range with Inexact
     trapped, so any rounding would raise instead of returning a wrong digit.
+    ``decimal`` is imported here, on the first numeral too long for str().
     """
     if n.bit_length() <= _PLAIN_BITS:
         return str(n)
+    import decimal
+
     D = decimal.Decimal
     powers: dict[int, decimal.Decimal] = {}
 

@@ -10,14 +10,14 @@ Specs have a canonical text form (``pow:5``, ``selfpow``, ``expbase:4``,
 ``factorial``, ``subfactorial``, ``fib``, ``poly:1,0,0``) that round-trips
 through :func:`parse_spec`.  Polynomial coefficients are listed leading-first,
 so ``poly:1,0,0`` is x^2; coefficients may be fractions such as ``1/2``.
+Only polynomial specs import ``fractions``, when one is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
 
+from ._record import Record, setfield
 from .errors import ConfigurationError
 
 __all__ = [
@@ -40,38 +40,46 @@ _KINDS = (
     "polynomial",
 )
 
-# Metadata only; never used in a soundness decision (those are integer-exact).
-_GOLDEN_RATIO = (1 + 5**0.5) / 2
+
+class GrowthClass(Record):
+    """How fast a catalog function grows; consumed by the bounds module.
+
+    ``kind`` is one of polynomial, factorial_like, exponential or
+    self_exponential.
+    """
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str) -> None:
+        setfield(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class GrowthClass:
-    """How fast a catalog function grows; consumed by the bounds module."""
+class FunctionSpec(Record):
+    __slots__ = ("kind", "exponent", "expbase", "coeffs", "zero_self_power")
 
-    kind: str  # polynomial | factorial_like | exponential | self_exponential
-    degree: int | None = None  # polynomial only
-    ratio: float | int | None = None  # exponential only
-
-
-@dataclass(frozen=True)
-class FunctionSpec:
-    kind: str
-    exponent: int | None = None  # power: F(x) = x**exponent
-    expbase: int | None = None  # exp_base: F(x) = expbase**x
-    coeffs: tuple[Fraction, ...] | None = None  # polynomial, leading first
-    zero_self_power: int = 1  # value assigned to 0**0 for self_power
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ConfigurationError(f"unknown function kind {self.kind!r}")
-        if self.kind == "power" and (self.exponent is None or self.exponent < 1):
+    def __init__(
+        self,
+        kind: str,
+        exponent: int | None = None,  # power: F(x) = x**exponent
+        expbase: int | None = None,  # exp_base: F(x) = expbase**x
+        coeffs: tuple | None = None,  # polynomial: Fractions, leading first
+        zero_self_power: int = 1,  # value assigned to 0**0 for self_power
+    ) -> None:
+        if kind not in _KINDS:
+            raise ConfigurationError(f"unknown function kind {kind!r}")
+        if kind == "power" and (exponent is None or exponent < 1):
             raise ConfigurationError("power exponent must be an integer >= 1")
-        if self.kind == "exp_base" and (self.expbase is None or self.expbase < 2):
+        if kind == "exp_base" and (expbase is None or expbase < 2):
             raise ConfigurationError("exponential base must be an integer >= 2")
-        if self.kind == "polynomial" and not self.coeffs:
+        if kind == "polynomial" and not coeffs:
             raise ConfigurationError("polynomial needs at least one coefficient")
-        if self.zero_self_power not in (0, 1):
+        if zero_self_power not in (0, 1):
             raise ConfigurationError("zero_self_power must be 0 or 1")
+        setfield(self, "kind", kind)
+        setfield(self, "exponent", exponent)
+        setfield(self, "expbase", expbase)
+        setfield(self, "coeffs", coeffs)
+        setfield(self, "zero_self_power", zero_self_power)
 
     # -- constructors ------------------------------------------------------
 
@@ -101,6 +109,8 @@ class FunctionSpec:
 
     @classmethod
     def polynomial(cls, coeffs) -> "FunctionSpec":
+        from fractions import Fraction
+
         return cls("polynomial", coeffs=tuple(Fraction(c) for c in coeffs))
 
     # -- presentation ------------------------------------------------------
@@ -139,20 +149,16 @@ class FunctionSpec:
     @property
     def growth_class(self) -> GrowthClass:
         # Fixed mapping from kind; the search bounds dispatch on this.
-        if self.kind == "power":
-            return GrowthClass("polynomial", degree=self.exponent)
-        if self.kind == "polynomial":
-            return GrowthClass("polynomial", degree=len(self.coeffs) - 1)
+        if self.kind in ("power", "polynomial"):
+            return GrowthClass("polynomial")
         if self.kind in ("factorial", "subfactorial"):
             return GrowthClass("factorial_like")
-        if self.kind == "exp_base":
-            return GrowthClass("exponential", ratio=self.expbase)
-        if self.kind == "fibonacci":
-            return GrowthClass("exponential", ratio=_GOLDEN_RATIO)
+        if self.kind in ("exp_base", "fibonacci"):
+            return GrowthClass("exponential")
         return GrowthClass("self_exponential")
 
     def with_zero_self_power(self, flag: int) -> "FunctionSpec":
-        return replace(self, zero_self_power=flag)
+        return self.replace(zero_self_power=flag)
 
     def __call__(self, x: int) -> int:
         return evaluate(self, x)
@@ -167,7 +173,7 @@ def parse_spec(text: str) -> FunctionSpec:
         if head == "expbase" and sep:
             return FunctionSpec.exp_base(int(arg))
         if head == "poly" and sep:
-            return FunctionSpec.polynomial(Fraction(part) for part in arg.split(","))
+            return FunctionSpec.polynomial(arg.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"bad function spec {text!r}: {exc}") from exc
     if sep == "":
@@ -251,7 +257,7 @@ def evaluate(spec: FunctionSpec, x: int) -> int:
     if kind == "fibonacci":
         return fibonacci(x)
     # polynomial: Horner over exact rationals, then demand a natural result
-    acc = Fraction(0)
+    acc = 0
     for c in spec.coeffs:
         acc = acc * x + c
     if acc.denominator != 1 or acc < 0:

@@ -58,10 +58,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import accumulate
 
+from ._record import Record, setfield
 from .bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
 from .digitops import BlockVector, digit_count, digit_sum, group_blocks, reverse_digits
 from .errors import ConfigurationError
@@ -94,30 +94,41 @@ _REVERSAL_HIT_BUDGET = 100_000  # most hits one reversal search lists, about 2 s
 # -- result records -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     """Parameters of a block-summation search."""
 
-    spec: FunctionSpec | None = None
-    base: int = 10
-    width: int = 1  # digits per block
-    engine: str = "scan"  # scan | multiset | preimage
-    cap: int | None = None  # hard ceiling overriding the derived bound
-    include_zero: bool = False
+    __slots__ = ("spec", "base", "width", "engine", "cap", "include_zero")
 
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ConfigurationError(f"numeral base must be at least 2, got {self.base}")
-        if self.width < 1:
-            raise ConfigurationError(f"block width must be at least 1, got {self.width}")
-        if self.engine not in ("scan", "multiset", "preimage"):
-            raise ConfigurationError(f"unknown engine {self.engine!r}")
-        if self.cap is not None and self.cap < 1:
-            raise ConfigurationError(f"cap must be at least 1, got {self.cap}")
+    def __init__(
+        self,
+        spec: FunctionSpec | None = None,
+        base: int = 10,
+        width: int = 1,  # digits per block
+        engine: str = "scan",  # scan | multiset
+        cap: int | None = None,  # hard ceiling overriding the derived bound
+        include_zero: bool = False,
+    ) -> None:
+        if base < 2:
+            raise ConfigurationError(f"numeral base must be at least 2, got {base}")
+        if width < 1:
+            raise ConfigurationError(f"block width must be at least 1, got {width}")
+        if engine == "preimage":
+            raise ConfigurationError("the preimage engine applies to digit-sum searches only")
+        if engine not in ("scan", "multiset"):
+            raise ConfigurationError(f"unknown engine {engine!r}")
+        if engine == "multiset" and width != 1:
+            raise ConfigurationError("the multiset engine requires block width 1")
+        if cap is not None and cap < 1:
+            raise ConfigurationError(f"cap must be at least 1, got {cap}")
+        setfield(self, "spec", spec)
+        setfield(self, "base", base)
+        setfield(self, "width", width)
+        setfield(self, "engine", engine)
+        setfield(self, "cap", cap)
+        setfield(self, "include_zero", include_zero)
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(Record):
     """A found number plus the decomposition that re-proves it.
 
     ``images`` holds the intermediate quantities of the family's equation:
@@ -126,20 +137,32 @@ class SearchHit:
     (digit_count(n),) for the reversed count family.
     """
 
-    value: int
-    blocks: BlockVector
-    images: tuple[int, ...]
-    family: str
-    fn: str | None
+    __slots__ = ("value", "blocks", "images", "family", "fn")
+
+    def __init__(
+        self,
+        value: int,
+        blocks: BlockVector,
+        images: tuple[int, ...],
+        family: str,
+        fn: str | None,
+    ) -> None:
+        setfield(self, "value", value)
+        setfield(self, "blocks", blocks)
+        setfield(self, "images", images)
+        setfield(self, "family", family)
+        setfield(self, "fn", fn)
 
 
-@dataclass(frozen=True)
-class ReversalHit:
+class ReversalHit(Record):
     """An n that is an integral multiple of its own digit reversal."""
 
-    value: int
-    multiplier: int
-    reversal: int
+    __slots__ = ("value", "multiplier", "reversal")
+
+    def __init__(self, value: int, multiplier: int, reversal: int) -> None:
+        setfield(self, "value", value)
+        setfield(self, "multiplier", multiplier)
+        setfield(self, "reversal", reversal)
 
 
 def hardy_hit(value: int, base: int, width: int, spec: FunctionSpec) -> SearchHit:
@@ -282,11 +305,16 @@ def _scan_range(
     """
     radix = base**width
     if radix > _TABLE_SPAN:
-        return [
-            n
-            for n in range(lo, hi)
-            if sum(evaluate(spec, v) for v in group_blocks(n, base, width).blocks) == n
-        ]
+        # no table: sum F over each value's blocks, without building a BlockVector
+        hits = []
+        for n in range(lo, hi):
+            total, v = 0, n
+            while v:
+                v, r = divmod(v, radix)
+                total += evaluate(spec, r)
+            if total == n:
+                hits.append(n)
+        return hits
     if depth is None:
         depth = _table_depth(radix, hi)
     span, depth, radix, diff, index, f0 = _tables(spec, base, width, depth)
@@ -405,10 +433,6 @@ def search_hardy(cfg: SearchConfig) -> list[SearchHit]:
     """All n up to the derived ceiling (or cap) equal to the F-sum of their blocks."""
     if cfg.spec is None:
         raise ConfigurationError("a function spec is required")
-    if cfg.engine == "preimage":
-        raise ConfigurationError("the preimage engine applies to digit-sum searches only")
-    if cfg.engine == "multiset" and cfg.width != 1:
-        raise ConfigurationError("the multiset engine requires block width 1")
     if cfg.cap is not None:
         ceiling = cfg.cap
         bound = None

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import hashlib
 import json
 import os
@@ -159,26 +160,46 @@ class TestDeterminism:
         assert err.count("\n") == 1 and "positive integer" in err
 
 
+# Every search runs in one process, whatever --jobs says, and start-up is the
+# floor of every command: dataclasses (with inspect), fractions and decimal
+# load only for the commands that use them.
+_HEAVY_MODULES = (
+    "concurrent.futures", "multiprocessing", "dataclasses", "inspect", "fractions", "decimal",
+)
+
+
 def test_import_loads_no_process_pool():
-    # every search runs in one process, whatever --jobs says
     import digitfix
 
     src = os.path.dirname(os.path.dirname(digitfix.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import contextlib, io, sys, digitfix.cli\n"
+        f"heavy = {_HEAVY_MODULES!r}\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
         "if sys.argv[1:]:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert digitfix.cli.main(sys.argv[1:]) == 0\n"
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+        "print(sorted(m for m in heavy if m in sys.modules))"
     )
-    for argv in ([], ["search", "powersum", "--fn", "pow:3", "--engine", "scan", "--jobs", "2"]):
+    for argv, needed in (
+        ([], set()),
+        (["search", "powersum", "--fn", "pow:3", "--engine", "scan", "--jobs", "2"], set()),
+        (["bound", "hardy", "--fn", "pow:5"], set()),
+        (["search", "hardy", "--fn", "pow:3"], set()),
+        (["search", "hardy", "--fn", "poly:1,0,0,0", "--cap", "1000"], {"fractions"}),
+        (["family", "piezas", "--fermat-index", "4", "--format", "records"], {"decimal"}),
+    ):
         result = subprocess.run(
             [sys.executable, "-c", probe, *argv],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]", argv
+        after_import, after_run = map(ast.literal_eval, result.stdout.splitlines())
+        assert after_import == [], argv
+        # fractions itself imports decimal
+        allowed = needed | {"decimal"} if "fractions" in needed else needed
+        assert needed <= set(after_run) <= allowed, (argv, after_run)
 
 
 def test_no_module_imports_a_process_pool():
@@ -222,6 +243,73 @@ class TestBoundCommands:
         assert code == 0
         (rec,) = records(out)
         assert rec["coarse"] == 10**9 and rec["s_max"] == 54
+
+
+@contextlib.contextmanager
+def int_limit_lifted():
+    """The interpreter's int-to-str limit, lifted to parse huge numbers back."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestHugeIntegers:
+    """Records carry integers past the int-to-str limit in full, as json.dumps
+    would write them with the limit lifted.  The commands run under the limit;
+    each test lifts it only to check what they printed."""
+
+    def huge_records(self, capsys, *argv):
+        code, out, err = run(capsys, *argv, "--format", "records")
+        assert code == 0, err
+        recs = []
+        with int_limit_lifted():
+            for line in out.splitlines():
+                recs.append(json.loads(line))
+                assert line == json.dumps(recs[-1], sort_keys=True, separators=(",", ":"))
+        return recs
+
+    def test_search_wells_selfpow_base_5000(self, capsys):
+        recs = self.huge_records(capsys, "search", "wells", "--fn", "selfpow", "--base", "5000")
+        assert [r["value"] for r in recs] == [1, *range(4992, 5000)]
+        assert all(r["decomposition"] == [r["value"] ** r["value"]] for r in recs)
+        code, out, _ = run(capsys, "search", "wells", "--fn", "selfpow", "--base", "5000")
+        assert code == 0 and "9 hit(s), search ceiling 5000" in out
+
+    def test_bound_wells_selfpow_base_5000(self, capsys):
+        (rec,) = self.huge_records(capsys, "bound", "wells", "--fn", "selfpow", "--base", "5000")
+        assert rec["cutoff"] == 5000
+        assert rec["witnesses"] == [[n, n**n, 5000**n] for n in (5000, 5001)]
+
+    def test_bound_powersum_pow_80(self, capsys):
+        (rec,) = self.huge_records(capsys, "bound", "powersum", "--fn", "pow:80")
+        assert rec["coarse"] == 10**6400
+
+    def test_bound_hardy_k_2000(self, capsys):
+        s_k = (10**2000 - 1) ** 3
+        (rec,) = self.huge_records(capsys, "bound", "hardy", "--fn", "pow:3", "--k", "2000")
+        assert (rec["s_k"], rec["block_threshold"], rec["n_max"]) == (s_k, 5, 4 * s_k)
+        # text mode elides the two numbers, as bound powersum does
+        code, out, _ = run(capsys, "bound", "hardy", "--fn", "pow:3", "--k", "2000")
+        assert code == 0
+        with int_limit_lifted():
+            s_text, n_text = str(s_k), str(4 * s_k)
+        last = f"no solution has 5 or more blocks; ceiling = 4*{s_text} = {n_text}"
+        assert rec["justification"][-1] == last
+        assert f"block image maximum s = {s_text[:12]}...{s_text[-12:]} (6000 digits)" in out
+        assert f"search ceiling n_max = {n_text[:12]}...{n_text[-12:]} (6001 digits)" in out
+        assert f"  {last}" in out.splitlines()
+
+    def test_writer_matches_json_dumps(self):
+        from digitfix.cli import _record
+
+        value = {
+            "b": [1, -2, True, False, None, "\u00e9\"\n", 2.5, [[]], {}, (3, "t")],
+            "a": {"z": 0, "y": 10**600, "x": -(2**2200)},
+        }
+        assert _record(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 class TestFamilyCommands:

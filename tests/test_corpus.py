@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from digitfix.corpus import CorpusEntry, check_entry, corpus_check, load_corpus
@@ -31,7 +29,7 @@ def test_erratum_entries_exist_and_pass_by_failing(corpus_report):
 def test_perturbed_entry_yields_exactly_one_mismatch():
     entries = load_corpus()
     target = next(e for e in entries if e.id == "hardy-cubes-b10")
-    broken = dataclasses.replace(target, expected=[1, 153, 370, 371, 408])
+    broken = target.replace(expected=[1, 153, 370, 371, 408])
     patched = [broken if e.id == target.id else e for e in entries if e.kind == "search"]
     report = corpus_check(patched)
     assert [r.entry.id for r in report.mismatches] == ["hardy-cubes-b10"]
@@ -40,7 +38,7 @@ def test_perturbed_entry_yields_exactly_one_mismatch():
 def test_true_entry_marked_erratum_fails():
     entries = load_corpus()
     target = next(e for e in entries if e.id == "pair-12-33")
-    flipped = dataclasses.replace(target, erratum=True)
+    flipped = target.replace(erratum=True)
     result = check_entry(flipped)
     assert not result.ok
 

@@ -1,0 +1,135 @@
+"""Value semantics of the package's immutable records."""
+
+import copy
+import pickle
+
+import pytest
+
+from digitfix.bounds import BoundReport, CutoffReport, PowerSumBound
+from digitfix.corpus import CorpusEntry, CorpusReport, EntryResult
+from digitfix.digitops import BlockVector, DigitVector
+from digitfix.errors import ConfigurationError
+from digitfix.families import ConcatSquarePair, PiezasParams
+from digitfix.funcatalog import FunctionSpec, GrowthClass
+from digitfix.search import ReversalHit, SearchConfig, SearchHit
+
+_ENTRY = CorpusEntry("cubes", "search", (1, 153), family="hardy", fn="pow:3")
+_ENTRY_DEFAULTS = {
+    "family": None,
+    "base": 10,
+    "k": 1,
+    "fn": None,
+    "engine": None,
+    "cap": None,
+    "max_order": None,
+    "digits": None,
+    "include_zero": False,
+    "zero_pow_zero": 1,
+    "erratum": False,
+    "note": "",
+}
+
+# (class, a value for every field in order, defaults of the trailing fields,
+#  one field changed to another valid value)
+RECORDS = [
+    (DigitVector, ((3, 5, 1), 10), {}, ("base", 11)),
+    (BlockVector, ((56, 34, 12), 10, 2), {}, ("block_width", 3)),
+    (GrowthClass, ("polynomial",), {}, ("kind", "exponential")),
+    (
+        FunctionSpec,
+        ("self_power", None, None, None, 0),
+        {"exponent": None, "expbase": None, "coeffs": None, "zero_self_power": 1},
+        ("zero_self_power", 1),
+    ),
+    (BoundReport, (59049, 7, 354294, ("s = 59049",)), {}, ("block_threshold", 8)),
+    (CutoffReport, (28, "analytic", ((28, 1, 2),)), {}, ("cutoff", 29)),
+    (PowerSumBound, (10**9, 54), {}, ("s_max", 55)),
+    (PiezasParams, (2, 0, 17, 4, 4, 3), {}, ("t", 1)),
+    (ConcatSquarePair, (12, 33, 2), {}, ("y", 34)),
+    (
+        SearchConfig,
+        (FunctionSpec.power(3), 7, 2, "scan", 100, True),
+        {"spec": None, "base": 10, "width": 1, "engine": "scan", "cap": None,
+         "include_zero": False},
+        ("cap", 200),
+    ),
+    (
+        SearchHit,
+        (153, BlockVector((3, 5, 1), 10, 1), (27, 125, 1), "hardy", "pow:3"),
+        {},
+        ("fn", "pow:4"),
+    ),
+    (ReversalHit, (8712, 4, 2178), {}, ("multiplier", 5)),
+    (
+        CorpusEntry,
+        ("e", "search", (1,), "hardy", 9, 2, "pow:3", "multiset", 50, 4, 3, True, 0, True, "n"),
+        _ENTRY_DEFAULTS,
+        ("note", "m"),
+    ),
+    (EntryResult, (_ENTRY, True, (1, 153)), {}, ("ok", False)),
+    (CorpusReport, ((EntryResult(_ENTRY, True, (1, 153)),),), {"results": ()}, ("results", ())),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, defaults, change", RECORDS, ids=[case[0].__name__ for case in RECORDS]
+)
+def test_record_value_semantics(cls, args, defaults, change):
+    fields = cls.__slots__
+    rec = cls(*args)
+    assert tuple(getattr(rec, name) for name in fields) == args
+    assert cls(**dict(zip(fields, args))) == rec
+
+    bare = cls(*args[: len(args) - len(defaults)])
+    assert {name: getattr(bare, name) for name in defaults} == defaults
+
+    # equal by value, hashable as the tuple of fields (FunctionSpec keys an lru_cache)
+    twin = cls(*args)
+    assert twin == rec and twin is not rec and hash(twin) == hash(rec)
+    name, value = change
+    other = rec.replace(**{name: value})
+    assert getattr(other, name) == value and other != rec
+    assert {n: getattr(other, n) for n in fields if n != name} == {
+        n: getattr(rec, n) for n in fields if n != name
+    }
+    assert len({rec, twin, other}) == 2
+    assert rec != args
+
+    for attr in (fields[0], "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(rec, attr, value)
+    with pytest.raises(AttributeError):
+        delattr(rec, fields[0])
+    assert tuple(getattr(rec, n) for n in fields) == args
+
+    assert repr(rec) == f"{cls.__name__}(" + ", ".join(
+        f"{n}={getattr(rec, n)!r}" for n in fields
+    ) + ")"
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    assert copy.deepcopy(rec) == rec
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: DigitVector((), 10), ValueError, "at least one digit"),
+        (lambda: DigitVector((10,), 10), ValueError, "digit 10 out of range for base 10"),
+        (lambda: DigitVector((0,), 1), ConfigurationError, "base must be at least 2"),
+        (lambda: BlockVector((1,), 10, 0), ConfigurationError, "block width must be at least 1"),
+        (lambda: BlockVector((100,), 10, 2), ValueError, "block 100 out of range"),
+        (lambda: BlockVector((1,), 1, 2), ConfigurationError, "base must be at least 2"),
+        (lambda: FunctionSpec("nope"), ConfigurationError, "unknown function kind"),
+        (lambda: FunctionSpec("power"), ConfigurationError, "power exponent"),
+        (lambda: FunctionSpec("power", exponent=0), ConfigurationError, "power exponent"),
+        (lambda: FunctionSpec("exp_base", expbase=1), ConfigurationError, "exponential base"),
+        (lambda: FunctionSpec("polynomial", coeffs=()), ConfigurationError, "coefficient"),
+        (lambda: FunctionSpec("self_power", zero_self_power=2), ConfigurationError, "0 or 1"),
+        (lambda: FunctionSpec.power(3).replace(exponent=-1), ConfigurationError, "exponent"),
+        (lambda: FunctionSpec.power(3).replace(degree=3), TypeError, "degree"),
+        (lambda: PiezasParams.from_index(5, 0), ConfigurationError, "fermat index"),
+        (lambda: PiezasParams.from_index(2, -1), ConfigurationError, "t must be"),
+    ],
+)
+def test_record_validation(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -107,6 +107,25 @@ class TestSearchHardy:
         # is a single block, so only the cube fixed point 1 survives
         assert run_hardy("pow:3", width=6, cap=100000) == [1]
 
+    @pytest.mark.parametrize(
+        "base, width, lo, hi, hits",
+        [
+            (10, 6, 10**6 - 3000, 10**6 + 3000, []),  # one block, then two
+            (10, 6, 10**9 - 500, 10**9 + 500, [10**9, 10**9 + 1]),  # 1000**3 + 0**3, + 1**3
+            (10, 6, 10**12 - 300, 10**12 + 300, []),  # two blocks, then three
+            (2, 18, 2**18 - 3000, 2**18 + 3000, []),
+            (2, 18, 2**27 - 500, 2**27 + 500, [2**27, 2**27 + 1]),  # 512**3 + 0**3, + 1**3
+            (2, 18, 2**36 - 300, 2**36 + 300, []),
+        ],
+    )
+    def test_fallback_scan_over_several_blocks(self, base, width, lo, hi, hits):
+        # the radix passes the table span, so the scan sums F over divmod blocks
+        spec = parse_spec("pow:3")
+        radix = base**width
+        assert radix > _TABLE_SPAN
+        oracle = [n for n in range(lo, hi) if oracle_block_fsum(n, radix, spec) == n]
+        assert _scan_range(lo, hi, spec, base, width) == oracle == hits
+
     def test_three_digit_blocks(self):
         got = run_hardy("pow:2", width=3)
         assert got == oracle_hardy("pow:2", 10, 3, 2994003)
@@ -145,10 +164,13 @@ class TestSearchHardy:
 
     def test_config_errors(self):
         spec = parse_spec("pow:3")
-        with pytest.raises(ConfigurationError):
-            search_hardy(SearchConfig(spec=spec, engine="multiset", width=2))
-        with pytest.raises(ConfigurationError):
-            search_hardy(SearchConfig(spec=spec, engine="preimage"))
+        # invalid engines are refused when the config is built, not when it runs
+        with pytest.raises(ConfigurationError, match="the multiset engine requires block width 1"):
+            SearchConfig(spec=spec, engine="multiset", width=2)
+        with pytest.raises(ConfigurationError, match="preimage engine applies to digit-sum"):
+            SearchConfig(spec=spec, engine="preimage")
+        with pytest.raises(ConfigurationError, match="unknown engine 'bogus'"):
+            SearchConfig(spec=spec, engine="bogus")
         with pytest.raises(ConfigurationError):
             SearchConfig(spec=spec, cap=0)
         with pytest.raises(ConfigurationError):
