@@ -23,12 +23,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
 from .corpus import corpus_check
 from .errors import ConfigurationError, UnsupportedFunctionError
-from .families import decimal_str, elide_numeral, piezas_generate, vitalis_generate
+from .families import decimal_str, elide_numeral, piezas_numerals, vitalis_generate
 from .funcatalog import FunctionSpec, parse_spec
 from .search import (
     SearchConfig,
@@ -228,7 +229,7 @@ def _run_bound_hardy(args) -> int:
     print(f"block count threshold M = {report.block_threshold}")
     print(f"search ceiling n_max = {elide_numeral(report.n_max)}")
     for line in report.justification:
-        print(f"  {line}")
+        print("  " + re.sub(r"\d+", lambda m: elide_numeral(m.group()), line))
     return _EXIT_OK
 
 
@@ -293,7 +294,7 @@ def _run_bound_powersum(args) -> int:
 
 
 def _run_family_piezas(args) -> int:
-    pair = piezas_generate(args.fermat_index, args.t)
+    x, y, block_length = piezas_numerals(args.fermat_index, args.t)
     if args.format == "records":
         print(
             _record(
@@ -301,17 +302,17 @@ def _run_family_piezas(args) -> int:
                     "family": "piezas",
                     "fermat_index": args.fermat_index,
                     "t": args.t,
-                    "block_length": pair.block_length,
-                    "x": decimal_str(pair.x),
-                    "y": decimal_str(pair.y),
+                    "block_length": block_length,
+                    "x": x,
+                    "y": y,
                     "verified": True,
                 }
             )
         )
         return _EXIT_OK
-    print(f"block length {pair.block_length}")
-    print(f"x = {elide_numeral(pair.x, args.elide)}")
-    print(f"y = {elide_numeral(pair.y, args.elide)}")
+    print(f"block length {block_length}")
+    print(f"x = {elide_numeral(x, args.elide)}")
+    print(f"y = {elide_numeral(y, args.elide)}")
     print("verified: x*10^L + y = x^2 + y^2 holds exactly")
     return _EXIT_OK
 
@@ -510,6 +511,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "jobs"):
             _check_jobs(args.jobs)
+        if getattr(args, "elide", 0) < 0:
+            raise ConfigurationError(f"--elide must be a natural number, got {args.elide}")
         return args.run(args)
     except UnsupportedFunctionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -189,6 +190,7 @@ def test_import_loads_no_process_pool():
         (["search", "hardy", "--fn", "pow:3"], set()),
         (["search", "hardy", "--fn", "poly:1,0,0,0", "--cap", "1000"], {"fractions"}),
         (["family", "piezas", "--fermat-index", "4", "--format", "records"], {"decimal"}),
+        (["family", "piezas", "--fermat-index", "4"], {"decimal"}),
     ):
         result = subprocess.run(
             [sys.executable, "-c", probe, *argv],
@@ -300,7 +302,16 @@ class TestHugeIntegers:
         assert rec["justification"][-1] == last
         assert f"block image maximum s = {s_text[:12]}...{s_text[-12:]} (6000 digits)" in out
         assert f"search ceiling n_max = {n_text[:12]}...{n_text[-12:]} (6001 digits)" in out
-        assert f"  {last}" in out.splitlines()
+        # the justification lines elide every run of more than 1000 digits
+        assert len(out.encode()) < 2000
+        elided = [
+            "  " + re.sub(
+                r"\d{1001,}", lambda m: f"{m[0][:12]}...{m[0][-12:]} ({len(m[0])} digits)", line
+            )
+            for line in rec["justification"]
+        ]
+        assert out.splitlines()[3:] == elided
+        assert f"4*{s_text[:12]}...{s_text[-12:]} (6000 digits)" in elided[-1]
 
     def test_writer_matches_json_dumps(self):
         from digitfix.cli import _record
@@ -353,6 +364,46 @@ class TestFamilyCommands:
         )
         assert code == 0
         assert "(192 digits)" in out
+
+    def test_piezas_path_converts_no_huge_int(self, capsys, monkeypatch):
+        # the member is built in base 10; no int wider than str() handles
+        # reaches the binary-to-decimal conversion
+        import digitfix.cli
+        import digitfix.families
+
+        real = digitfix.families.decimal_str
+
+        def small_only(n):
+            assert n.bit_length() <= 2126, n.bit_length()
+            return real(n)
+
+        monkeypatch.setattr(digitfix.cli, "decimal_str", small_only)
+        monkeypatch.setattr(digitfix.families, "decimal_str", small_only)
+        for fmt in ((), ("--format", "records")):
+            code, out, _ = run(capsys, "family", "piezas", "--fermat-index", "4", "--t", "2", *fmt)
+            assert code == 0 and "180224" in out
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["vitalis", "-l", "0", "--elide", "0"], "x^3 + y^3 + z^3 = 153"),
+            (["vitalis", "-l", "3", "--elide", "5"], "x^3 + y^3 + z^3 = 166650003333"),
+            (["piezas", "--fermat-index", "2", "--elide", "5"], "x = 941176470588"),
+            (["piezas", "--fermat-index", "2", "--t", "1", "--elide", "0"],
+             "x = 941176470588...941176470588 (28 digits)"),
+        ],
+    )
+    def test_small_elide_prints_short_numerals_in_full(self, capsys, argv, line):
+        code, out, _ = run(capsys, "family", *argv)
+        assert code == 0
+        assert line in out.splitlines()
+
+    @pytest.mark.parametrize("family", [["vitalis", "-l", "2"], ["piezas", "--fermat-index", "2"]])
+    @pytest.mark.parametrize("fmt", [(), ("--format", "records")])
+    def test_negative_elide_exits_two(self, capsys, family, fmt):
+        code, out, err = run(capsys, "family", *family, "--elide", "-1", *fmt)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_vitalis(self, capsys):
         code, out, _ = run(capsys, "family", "vitalis", "-l", "2", "--format", "records")

@@ -1,3 +1,4 @@
+import decimal
 import random
 import sys
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitfix import families
 from digitfix.digitops import digit_count
 from digitfix.errors import ConfigurationError
 from digitfix.families import (
@@ -13,6 +15,7 @@ from digitfix.families import (
     decimal_str,
     elide_numeral,
     piezas_generate,
+    piezas_numerals,
     reflect_pair,
     verify_concat_square,
     vitalis_generate,
@@ -61,12 +64,44 @@ class TestPiezas:
                 assert 4 * p.l + 1 == p.fe
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigurationError):
-            piezas_generate(1, 0)
-        with pytest.raises(ConfigurationError):
-            piezas_generate(5, 0)
-        with pytest.raises(ConfigurationError):
-            piezas_generate(2, -1)
+        for make in (piezas_generate, piezas_numerals):
+            for index, t in ((1, 0), (5, 0), (2, -1)):
+                with pytest.raises(ConfigurationError):
+                    make(index, t)
+
+
+class TestPiezasNumerals:
+    """The decimal path against the int path, which is the reference."""
+
+    @pytest.mark.parametrize("index", [2, 3, 4])
+    @pytest.mark.parametrize("t", [0, 1, 2, 3])
+    def test_matches_int_path(self, index, t):
+        pair = piezas_generate(index, t)
+        assert piezas_numerals(index, t) == (
+            decimal_str(pair.x), decimal_str(pair.y), pair.block_length
+        )
+
+    def test_caller_context_neither_used_nor_changed(self):
+        want = piezas_numerals(3, 1)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 3
+            ctx.rounding = decimal.ROUND_DOWN
+            ctx.traps[decimal.Inexact] = False
+            ctx.clear_flags()
+            before = (ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin, dict(ctx.traps))
+            assert piezas_numerals(3, 1) == want
+            assert decimal.getcontext() is ctx
+            assert (ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin, dict(ctx.traps)) == before
+            assert not any(ctx.flags.values())
+            # the caller's own arithmetic still rounds as it asked
+            assert decimal.Decimal(12345) + 0 == decimal.Decimal("1.23E+4")
+
+    @pytest.mark.parametrize("make", [piezas_generate, piezas_numerals])
+    def test_inexact_division_raises_on_both_number_types(self, monkeypatch, make):
+        # 19 divides neither a(aB - 1) nor a(a + B) for a = 4, B = 10**12
+        monkeypatch.setitem(families.FERMAT_PRIMES, 2, 19)
+        with pytest.raises(RuntimeError, match="non-exact division by 19"):
+            make(2, 0)
 
 
 class TestVerifyConcatSquare:
@@ -136,6 +171,25 @@ class TestNumeralRendering:
         head, _, rest = rendered.partition("...")
         assert decimal_str(long_pair.x).startswith(head)
         assert decimal_str(long_pair.x).endswith(rest.split(" ")[0])
+
+    def test_short_numerals_print_in_full(self):
+        # head and tail keep 12 digits each, so eliding 24 digits or fewer
+        # would repeat digits; any threshold below that prints them whole
+        for threshold in (0, 1, 5, 11, 12, 24):
+            assert elide_numeral(153, threshold) == "153"
+            assert elide_numeral(941176470588, threshold) == "941176470588"
+            assert elide_numeral(10**23 + 7, threshold) == str(10**23 + 7)
+            assert elide_numeral(10**24 + 7, threshold) == "100000000000...000000000007 (25 digits)"
+
+    def test_numeral_string_and_int_render_alike(self):
+        for n in (0, 153, 10**24 - 1, 10**24, 7**40, 3**2000, piezas_generate(3, 0).y):
+            for threshold in (0, 10, 24, 30, 100, 1000):
+                assert elide_numeral(decimal_str(n), threshold) == elide_numeral(n, threshold)
+
+    def test_negative_threshold_rejected(self):
+        for n in (153, "153"):
+            with pytest.raises(ValueError, match="natural number"):
+                elide_numeral(n, -1)
 
     def test_decimal_str_handles_huge_values(self):
         limit = sys.get_int_max_str_digits()
