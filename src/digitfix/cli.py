@@ -12,6 +12,12 @@ JSON object per line with a stable schema, byte-identical across runs and
 ``--jobs`` values.  Exit codes: 0 success, 1 corpus mismatch, 2 usage or
 configuration error, 3 no finite search bound for the requested function.
 
+Every search subcommand goes through :func:`digitfix.search.run_search`,
+which picks the family's search and its default engine; the ceiling printed
+as ``bound_used`` (and in the text summary) is the one that search proved and
+returned with its hits.  This module parses arguments and renders hits; it
+derives no ceiling of its own on a search path.
+
 ``--jobs`` (default from the ``DIGITFIX_JOBS`` environment variable, else 1)
 is accepted for compatibility and ignored: every search runs in one process.
 It is still read when the command runs and must be a positive integer (exit
@@ -30,19 +36,8 @@ from .bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
 from .corpus import corpus_check
 from .errors import ConfigurationError, UnsupportedFunctionError
 from .families import decimal_str, elide_numeral, piezas_numerals, vitalis_generate
-from .funcatalog import FunctionSpec, parse_spec
-from .search import (
-    SearchConfig,
-    SearchHit,
-    armstrong_order_ceiling,
-    search_armstrong,
-    search_dudeney,
-    search_hardy,
-    search_powersum,
-    search_reversal,
-    search_wells,
-    search_wells_reverse,
-)
+from .funcatalog import parse_spec
+from .search import run_search
 
 _EXIT_OK = 0
 _EXIT_CORPUS = 1
@@ -63,38 +58,7 @@ def _record(value) -> str:
     return json.dumps(value)
 
 
-def _spec_from(args) -> FunctionSpec:
-    spec = parse_spec(args.fn)
-    zero = getattr(args, "zero_pow_zero", None)
-    if zero is not None:
-        spec = spec.with_zero_self_power(zero)
-    return spec
-
-
-def _emit_hits(args, hits: list[SearchHit], bound_used: int) -> int:
-    if args.format == "records":
-        for h in hits:
-            print(
-                _record(
-                    {
-                        "family": h.family,
-                        "base": h.blocks.base,
-                        "k": h.blocks.block_width,
-                        "fn": h.fn,
-                        "value": h.value,
-                        "decomposition": list(h.images),
-                        "bound_used": bound_used,
-                    }
-                )
-            )
-        return _EXIT_OK
-    for h in hits:
-        print(_describe_hit(h))
-    print(f"{len(hits)} hit(s), search ceiling {bound_used}")
-    return _EXIT_OK
-
-
-def _describe_hit(h: SearchHit) -> str:
+def _describe_hit(h) -> str:
     if h.family in ("hardy", "armstrong"):
         spec = parse_spec(h.fn)
         terms = " + ".join(spec.term(v) for v in reversed(h.blocks.blocks))
@@ -107,99 +71,36 @@ def _describe_hit(h: SearchHit) -> str:
         return f"{h.value}: digit sum of F({h.value}) = {elide_numeral(h.images[0], 40)} is {h.value}"
     if h.family == "powersum":
         return f"{h.value} = {h.images[0]}^{parse_spec(h.fn).exponent}, its own digit sum raised"
-    return str(h.value)
+    return f"{h.value} = {h.multiplier} x {h.reversal}"
 
 
 # -- search subcommands --------------------------------------------------------
 
 
-def _run_search_hardy(args) -> int:
-    spec = _spec_from(args)
-    cfg = SearchConfig(
-        spec=spec,
-        base=args.base,
-        width=args.k,
-        engine=args.engine,
-        cap=args.cap,
-        include_zero=args.include_zero,
-    )
-    bound_used = args.cap if args.cap is not None else hardy_bound(spec, args.base, args.k).n_max
-    hits = search_hardy(cfg)
-    return _emit_hits(args, hits, bound_used)
-
-
-def _run_search_armstrong(args) -> int:
-    hits = search_armstrong(args.base, args.max_order)
-    ceiling = armstrong_order_ceiling(args.base) - 1
-    if args.max_order is not None:
-        ceiling = min(ceiling, args.max_order)
-    return _emit_hits(args, hits, ceiling)
-
-
-def _run_search_wells(args) -> int:
-    spec = _spec_from(args)
-    bound_used = args.cap if args.cap is not None else wells_cutoff(spec, args.base).cutoff
-    hits = search_wells(spec, args.base, args.cap, args.include_zero)
-    return _emit_hits(args, hits, bound_used)
-
-
-def _run_search_wells_reverse(args) -> int:
-    spec = _spec_from(args)
-    hits = search_wells_reverse(spec, args.base, args.cap, args.include_zero)
-    return _emit_hits(args, hits, args.cap)
-
-
-def _run_search_dudeney(args) -> int:
-    spec = _spec_from(args)
-    if args.cap is not None:
-        bound_used = args.cap
-    elif args.engine == "preimage":
-        bound_used = powersum_bound(spec.exponent, args.base).s_max
-    else:
-        bound_used = dudeney_cutoff(spec, args.base).cutoff
-    hits = search_dudeney(spec, args.base, args.cap, args.engine, args.include_zero)
-    return _emit_hits(args, hits, bound_used)
-
-
-def _run_search_powersum(args) -> int:
-    spec = _spec_from(args)
-    if spec.kind != "power":
-        raise ConfigurationError("power-sum search takes --fn pow:P for the exponent")
-    bound = powersum_bound(spec.exponent, args.base)
-    bound_used = bound.s_max**spec.exponent
-    if args.cap is not None:
-        bound_used = min(bound_used, args.cap)
-    hits = search_powersum(
-        spec.exponent,
-        args.base,
-        engine=args.engine,
-        cap=args.cap,
-        include_zero=args.include_zero,
-    )
-    return _emit_hits(args, hits, bound_used)
-
-
-def _run_search_reversal(args) -> int:
-    hits = search_reversal(args.base, args.digits)
+def _run_search(args) -> int:
+    hits = run_search(args.family, args)
     if args.format == "records":
         for h in hits:
             print(
                 _record(
                     {
-                        "family": "reversal",
+                        "family": h.family,
                         "base": args.base,
-                        "k": 1,
-                        "fn": None,
+                        "k": args.k,
+                        "fn": h.fn,
                         "value": h.value,
-                        "decomposition": [h.multiplier, h.reversal],
-                        "bound_used": args.base**args.digits - 1,
+                        "decomposition": list(h.images),
+                        "bound_used": hits.ceiling,
                     }
                 )
             )
         return _EXIT_OK
     for h in hits:
-        print(f"{h.value} = {h.multiplier} x {h.reversal}")
-    print(f"{len(hits)} hit(s) among {args.digits}-digit numbers")
+        print(_describe_hit(h))
+    if args.family == "reversal":
+        print(f"{len(hits)} hit(s) among {args.digits}-digit numbers")
+    else:
+        print(f"{len(hits)} hit(s), search ceiling {hits.ceiling}")
     return _EXIT_OK
 
 
@@ -207,7 +108,7 @@ def _run_search_reversal(args) -> int:
 
 
 def _run_bound_hardy(args) -> int:
-    spec = _spec_from(args)
+    spec = parse_spec(args.fn)
     report = hardy_bound(spec, args.base, args.k)
     if args.format == "records":
         print(
@@ -233,11 +134,11 @@ def _run_bound_hardy(args) -> int:
     return _EXIT_OK
 
 
-def _cutoff_to_record(kind: str, args, report) -> dict:
+def _cutoff_to_record(kind: str, args, spec, report) -> dict:
     return {
         "bound": kind,
         "base": args.base,
-        "fn": args.fn,
+        "fn": spec.text,
         "cutoff": report.cutoff,
         "method": report.method,
         "witnesses": [list(w) for w in report.witnesses],
@@ -245,9 +146,10 @@ def _cutoff_to_record(kind: str, args, report) -> dict:
 
 
 def _run_bound_wells(args) -> int:
-    report = wells_cutoff(_spec_from(args), args.base)
+    spec = parse_spec(args.fn)
+    report = wells_cutoff(spec, args.base)
     if args.format == "records":
-        print(_record(_cutoff_to_record("wells", args, report)))
+        print(_record(_cutoff_to_record("wells", args, spec, report)))
         return _EXIT_OK
     print(f"no fixed point of digit_count(F(n)) = n at or above {report.cutoff} ({report.method})")
     for n, lhs, rhs in report.witnesses:
@@ -256,9 +158,10 @@ def _run_bound_wells(args) -> int:
 
 
 def _run_bound_dudeney(args) -> int:
-    report = dudeney_cutoff(_spec_from(args), args.base)
+    spec = parse_spec(args.fn)
+    report = dudeney_cutoff(spec, args.base)
     if args.format == "records":
-        print(_record(_cutoff_to_record("dudeney", args, report)))
+        print(_record(_cutoff_to_record("dudeney", args, spec, report)))
         return _EXIT_OK
     print(f"no fixed point of digit_sum(F(n)) = n at or above {report.cutoff} ({report.method})")
     for n, lhs, rhs in report.witnesses[:4]:
@@ -267,7 +170,7 @@ def _run_bound_dudeney(args) -> int:
 
 
 def _run_bound_powersum(args) -> int:
-    spec = _spec_from(args)
+    spec = parse_spec(args.fn)
     if spec.kind != "power":
         raise ConfigurationError("power-sum bound takes --fn pow:P for the exponent")
     bound = powersum_bound(spec.exponent, args.base)
@@ -391,7 +294,7 @@ def _check_jobs(flag: str | None) -> None:
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_common(sub, fn_required=True, engines=None, default_engine=None):
+def _add_common(sub, fn_required=True, engines=None):
     sub.add_argument("--base", type=int, default=10)
     if fn_required:
         sub.add_argument("--fn", required=True, help="function spec, e.g. pow:3, factorial")
@@ -402,7 +305,7 @@ def _add_common(sub, fn_required=True, engines=None, default_engine=None):
         "integer (default: DIGITFIX_JOBS or 1)",
     )
     if engines:
-        sub.add_argument("--engine", choices=engines, default=default_engine)
+        sub.add_argument("--engine", choices=engines)
 
 
 def _add_zero_flags(sub):
@@ -419,48 +322,30 @@ def _build_parser() -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="command", required=True)
 
     search = top.add_parser("search", help="run a fixed-point search")
+    # a family without --k or --engine searches width 1 with its own default engine
+    search.set_defaults(run=_run_search, k=1, engine=None)
     fams = search.add_subparsers(dest="family", required=True)
 
-    p = fams.add_parser("hardy", help="n equal to the F-sum of its digit blocks")
-    _add_common(p, engines=("scan", "multiset"), default_engine="scan")
-    p.add_argument("--k", type=int, default=1, help="digits per block")
-    p.add_argument("--cap", type=int)
-    _add_zero_flags(p)
-    p.set_defaults(run=_run_search_hardy)
-
-    p = fams.add_parser("armstrong", help="m-digit n equal to the sum of m-th powers of digits")
-    _add_common(p, fn_required=False)
-    p.add_argument("--max-order", type=int)
-    p.set_defaults(run=_run_search_armstrong)
-
-    p = fams.add_parser("wells", help="n equal to the digit count of F(n)")
-    _add_common(p)
-    p.add_argument("--cap", type=int)
-    _add_zero_flags(p)
-    p.set_defaults(run=_run_search_wells)
-
-    p = fams.add_parser("wells-reverse", help="n equal to F(digit count of n)")
-    _add_common(p)
-    p.add_argument("--cap", type=int, required=True)
-    _add_zero_flags(p)
-    p.set_defaults(run=_run_search_wells_reverse)
-
-    p = fams.add_parser("dudeney", help="n equal to the digit sum of F(n)")
-    _add_common(p, engines=("scan", "preimage"), default_engine="scan")
-    p.add_argument("--cap", type=int)
-    _add_zero_flags(p)
-    p.set_defaults(run=_run_search_dudeney)
-
-    p = fams.add_parser("powersum", help="n equal to its digit sum raised to a power")
-    _add_common(p, engines=("preimage", "scan"), default_engine="preimage")
-    p.add_argument("--cap", type=int)
-    _add_zero_flags(p)
-    p.set_defaults(run=_run_search_powersum)
-
-    p = fams.add_parser("reversal", help="n an integral multiple of its digit reversal")
-    _add_common(p, fn_required=False)
-    p.add_argument("--digits", type=int, required=True)
-    p.set_defaults(run=_run_search_reversal)
+    for name, help_text, engines in (
+        ("hardy", "n equal to the F-sum of its digit blocks", ("scan", "multiset")),
+        ("armstrong", "m-digit n equal to the sum of m-th powers of digits", None),
+        ("wells", "n equal to the digit count of F(n)", None),
+        ("wells-reverse", "n equal to F(digit count of n)", None),
+        ("dudeney", "n equal to the digit sum of F(n)", ("scan", "preimage")),
+        ("powersum", "n equal to its digit sum raised to a power", ("preimage", "scan")),
+        ("reversal", "n an integral multiple of its digit reversal", None),
+    ):
+        p = fams.add_parser(name, help=help_text)
+        _add_common(p, fn_required=name not in ("armstrong", "reversal"), engines=engines)
+        if name == "armstrong":
+            p.add_argument("--max-order", type=int)
+        elif name == "reversal":
+            p.add_argument("--digits", type=int, required=True)
+        else:
+            if name == "hardy":
+                p.add_argument("--k", type=int, default=1, help="digits per block")
+            p.add_argument("--cap", type=int, required=name == "wells-reverse")
+            _add_zero_flags(p)
 
     bound = top.add_parser("bound", help="derive a search ceiling and show why it is sound")
     bounds = bound.add_subparsers(dest="bound_kind", required=True)

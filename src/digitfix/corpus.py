@@ -29,16 +29,7 @@ from ._record import Record, setfield
 from .errors import ConfigurationError
 from .families import piezas_numerals, verify_concat_square, vitalis_generate
 from .funcatalog import parse_spec
-from .search import (
-    SearchConfig,
-    search_armstrong,
-    search_dudeney,
-    search_hardy,
-    search_powersum,
-    search_reversal,
-    search_wells,
-    search_wells_reverse,
-)
+from .search import FAMILIES, run_search
 
 __all__ = ["CorpusEntry", "CorpusReport", "EntryResult", "corpus_check", "load_corpus"]
 
@@ -137,6 +128,10 @@ def load_corpus() -> list[CorpusEntry]:
 
 def _validate(entry: CorpusEntry) -> None:
     if entry.kind == "search":
+        if entry.family not in FAMILIES:
+            raise ConfigurationError(
+                f"corpus entry {entry.id!r}: unknown family {entry.family!r}"
+            )
         if entry.family != "reversal":
             if entry.fn is None and entry.family != "armstrong":
                 raise ConfigurationError(f"corpus entry {entry.id!r}: missing function spec")
@@ -155,48 +150,10 @@ def _validate(entry: CorpusEntry) -> None:
 
 
 def _run_search(entry: CorpusEntry) -> object:
-    family = entry.family
-    spec = parse_spec(entry.fn).with_zero_self_power(entry.zero_pow_zero) if entry.fn else None
-    if family == "hardy":
-        cfg = SearchConfig(
-            spec=spec,
-            base=entry.base,
-            width=entry.k,
-            engine=entry.engine or "scan",
-            cap=entry.cap,
-            include_zero=entry.include_zero,
-        )
-        return [h.value for h in search_hardy(cfg)]
-    if family == "armstrong":
-        return [h.value for h in search_armstrong(entry.base, entry.max_order)]
-    if family == "wells":
-        return [h.value for h in search_wells(spec, entry.base, entry.cap, entry.include_zero)]
-    if family == "wells-reverse":
-        return [
-            h.value
-            for h in search_wells_reverse(spec, entry.base, entry.cap, entry.include_zero)
-        ]
-    if family == "dudeney":
-        return [
-            h.value
-            for h in search_dudeney(
-                spec, entry.base, entry.cap, entry.engine or "scan", entry.include_zero
-            )
-        ]
-    if family == "powersum":
-        return [
-            h.value
-            for h in search_powersum(
-                spec.exponent,
-                entry.base,
-                engine=entry.engine or "preimage",
-                cap=entry.cap,
-                include_zero=entry.include_zero,
-            )
-        ]
-    if family == "reversal":
-        return [[h.value, h.multiplier] for h in search_reversal(entry.base, entry.digits)]
-    raise ConfigurationError(f"corpus entry {entry.id!r}: unknown family {family!r}")
+    hits = run_search(entry.family, entry)
+    if entry.family == "reversal":
+        return [[h.value, h.multiplier] for h in hits]
+    return [h.value for h in hits]
 
 
 def _run_entry(entry: CorpusEntry) -> object:

@@ -50,8 +50,11 @@ refuses to list more than 100 000 (``search reversal --digits 200`` has
 about 4 * 10**20).
 
 Every hit re-verifies its defining equation from raw digits when the hit
-record is constructed; nothing is trusted from search state.  Output is
-sorted ascending.
+record is constructed; nothing is trusted from search state.  Each search
+returns its hits in ascending order as :class:`Hits`, a list that also
+carries the ceiling the search proved, and :func:`run_search` runs any
+family from the parameters the command line and a corpus entry share, so
+neither derives a ceiling or picks an engine of its own.
 """
 
 from __future__ import annotations
@@ -65,9 +68,11 @@ from ._record import Record, setfield
 from .bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
 from .digitops import BlockVector, digit_count, digit_sum, group_blocks, reverse_digits
 from .errors import ConfigurationError
-from .funcatalog import FunctionSpec, evaluate
+from .funcatalog import FunctionSpec, evaluate, parse_spec
 
 __all__ = [
+    "FAMILIES",
+    "Hits",
     "ReversalHit",
     "SearchConfig",
     "SearchHit",
@@ -77,6 +82,7 @@ __all__ = [
     "hardy_hit",
     "powersum_hit",
     "reversal_hit",
+    "run_search",
     "search_armstrong",
     "search_dudeney",
     "search_hardy",
@@ -88,6 +94,7 @@ __all__ = [
     "wells_reverse_hit",
 ]
 
+FAMILIES = ("hardy", "armstrong", "wells", "wells-reverse", "dudeney", "powersum", "reversal")
 _TABLE_SPAN = 1 << 17  # max chunk-table length per (spec, base, width)
 _REVERSAL_HIT_BUDGET = 100_000  # most hits one reversal search lists, about 2 s at 50 digits
 
@@ -155,14 +162,38 @@ class SearchHit(Record):
 
 
 class ReversalHit(Record):
-    """An n that is an integral multiple of its own digit reversal."""
+    """An n that is an integral multiple of its own digit reversal.
+
+    Like a :class:`SearchHit` it names its family and function and lists the
+    quantities that re-prove it: ``images`` is (multiplier, reversal).
+    """
 
     __slots__ = ("value", "multiplier", "reversal")
+    family = "reversal"
+    fn = None
 
     def __init__(self, value: int, multiplier: int, reversal: int) -> None:
         setfield(self, "value", value)
         setfield(self, "multiplier", multiplier)
         setfield(self, "reversal", reversal)
+
+    @property
+    def images(self) -> tuple[int, int]:
+        return (self.multiplier, self.reversal)
+
+
+class Hits(list):
+    """A search's hits in ascending order, and the ceiling the search proved.
+
+    ``ceiling`` is the cap when one was given, else the derived bound: the
+    block-sum ceiling n_max (hardy), the top order searched (armstrong), the
+    cutoff (wells, and dudeney's scan), s_max (dudeney's preimage engine),
+    min(s_max**p, cap) (powersum), base**digits - 1 (reversal).
+    """
+
+    def __init__(self, hits, ceiling: int) -> None:
+        super().__init__(hits)
+        self.ceiling = ceiling
 
 
 def hardy_hit(value: int, base: int, width: int, spec: FunctionSpec) -> SearchHit:
@@ -429,7 +460,7 @@ def _multiset_search(spec: FunctionSpec, base: int, max_len: int, cap: int | Non
 # -- family searches -----------------------------------------------------------
 
 
-def search_hardy(cfg: SearchConfig) -> list[SearchHit]:
+def search_hardy(cfg: SearchConfig) -> Hits:
     """All n up to the derived ceiling (or cap) equal to the F-sum of their blocks."""
     if cfg.spec is None:
         raise ConfigurationError("a function spec is required")
@@ -450,7 +481,7 @@ def search_hardy(cfg: SearchConfig) -> list[SearchHit]:
     if cfg.include_zero and evaluate(cfg.spec, 0) == 0:
         values.append(0)
     values.sort()
-    return [hardy_hit(v, cfg.base, cfg.width, cfg.spec) for v in values]
+    return Hits([hardy_hit(v, cfg.base, cfg.width, cfg.spec) for v in values], ceiling)
 
 
 def armstrong_order_ceiling(base: int) -> int:
@@ -463,13 +494,15 @@ def armstrong_order_ceiling(base: int) -> int:
     return m
 
 
-def search_armstrong(base: int, max_order: int | None = None) -> list[SearchHit]:
+def search_armstrong(base: int, max_order: int | None = None) -> Hits:
     """All m-digit numbers equal to the sum of the m-th powers of their digits.
 
     Orders run from 2 up to the derived ceiling (or ``max_order``); order 1 is
     skipped because every single digit fixes itself trivially.  Each order
     reuses the multiset search with F = x**m and an exact length match.
     """
+    if max_order is not None and max_order < 2:
+        raise ConfigurationError(f"max_order must be at least 2, got {max_order}")
     ceiling = armstrong_order_ceiling(base)
     top = ceiling - 1 if max_order is None else min(max_order, ceiling - 1)
     hits = []
@@ -478,19 +511,19 @@ def search_armstrong(base: int, max_order: int | None = None) -> list[SearchHit]
         for value in _multiset_length(f_vals, base, order, None):
             hits.append(armstrong_hit(value, base, order))
     hits.sort(key=lambda h: h.value)
-    return hits
+    return Hits(hits, top)
 
 
 def search_wells(
     spec: FunctionSpec, base: int, cap: int | None = None, include_zero: bool = False
-) -> list[SearchHit]:
+) -> Hits:
     """All n below the cutoff (or up to cap) with digit_count(F(n)) == n."""
     if cap is None:
-        n_hi = wells_cutoff(spec, base).cutoff
+        ceiling = n_hi = wells_cutoff(spec, base).cutoff
     elif cap < 1:
         raise ConfigurationError(f"cap must be at least 1, got {cap}")
     else:
-        n_hi = cap + 1
+        ceiling, n_hi = cap, cap + 1
     values = []
     if include_zero and _zero_image(spec) == 0:
         values.append(0)
@@ -500,12 +533,12 @@ def search_wells(
         if power <= fn < power * base:
             values.append(n)
         power *= base
-    return [wells_hit(v, base, spec) for v in values]
+    return Hits([wells_hit(v, base, spec) for v in values], ceiling)
 
 
 def search_wells_reverse(
     spec: FunctionSpec, base: int, cap: int, include_zero: bool = False
-) -> list[SearchHit]:
+) -> Hits:
     """All n <= cap with n = F(digit_count(n)).
 
     At most one candidate exists per digit length, so the cap alone makes the
@@ -521,7 +554,7 @@ def search_wells_reverse(
         if v <= cap and digit_count(v, base) == length:
             values.append(v)
     values.sort()
-    return [wells_reverse_hit(v, base, spec) for v in values]
+    return Hits([wells_reverse_hit(v, base, spec) for v in values], cap)
 
 
 def search_dudeney(
@@ -530,7 +563,7 @@ def search_dudeney(
     cap: int | None = None,
     engine: str = "scan",
     include_zero: bool = False,
-) -> list[SearchHit]:
+) -> Hits:
     """All n below the cutoff (or up to cap) with digit_sum(F(n)) == n.
 
     The ``preimage`` engine is the power-kind shortcut: candidates are capped
@@ -544,20 +577,20 @@ def search_dudeney(
     if engine == "preimage":
         if spec.kind != "power":
             raise ConfigurationError("the preimage engine needs a pure power function")
-        n_hi = powersum_bound(spec.exponent, base).s_max + 1
-        if cap is not None:
-            n_hi = min(n_hi, cap + 1)
+        s_max = powersum_bound(spec.exponent, base).s_max
+        ceiling = s_max if cap is None else cap
+        n_hi = min(s_max, ceiling) + 1
     elif cap is not None:
-        n_hi = cap + 1
+        ceiling, n_hi = cap, cap + 1
     else:
-        n_hi = dudeney_cutoff(spec, base).cutoff
+        ceiling = n_hi = dudeney_cutoff(spec, base).cutoff
     values = []
     if include_zero and _zero_image(spec) == 0:
         values.append(0)
     for n in range(1, n_hi):
         if digit_sum(evaluate(spec, n), base) == n:
             values.append(n)
-    return [dudeney_hit(v, base, spec) for v in values]
+    return Hits([dudeney_hit(v, base, spec) for v in values], ceiling)
 
 
 def _zero_image(spec: FunctionSpec) -> int | None:
@@ -612,7 +645,7 @@ def search_powersum(
     engine: str = "preimage",
     cap: int | None = None,
     include_zero: bool = False,
-) -> list[SearchHit]:
+) -> Hits:
     """All n with digit_sum(n)**p == n.
 
     The preimage engine enumerates candidate digit sums s and keeps s**p when
@@ -628,23 +661,21 @@ def search_powersum(
         raise ConfigurationError(f"unknown power-sum engine {engine!r}")
     if cap is not None and cap < 1:
         raise ConfigurationError(f"cap must be at least 1, got {cap}")
-    bound = powersum_bound(p, base)
+    s_max = powersum_bound(p, base).s_max
+    ceiling = s_max**p if cap is None else min(s_max**p, cap)
     values = []
     if include_zero:
         values.append(0)  # digit_sum(0)**p == 0 under the canonical zero digit
     if engine == "preimage":
-        for s in range(1, bound.s_max + 1):
+        for s in range(1, s_max + 1):
             n = s**p
-            if cap is not None and n > cap:
+            if n > ceiling:
                 break
             if digit_sum(n, base) == s:
                 values.append(n)
     else:
-        ceiling = bound.s_max**p
-        if cap is not None:
-            ceiling = min(ceiling, cap)
         values.extend(_powersum_scan_range(1, ceiling + 1, p, base))
-    return [powersum_hit(v, base, p) for v in values]
+    return Hits([powersum_hit(v, base, p) for v in values], ceiling)
 
 
 # -- reversal engine -------------------------------------------------------------
@@ -739,7 +770,7 @@ def _reversal_values(layers, middle, base: int, k: int) -> list[int]:
     return values
 
 
-def search_reversal(base: int, num_digits: int) -> list[ReversalHit]:
+def search_reversal(base: int, num_digits: int) -> Hits:
     """All ``num_digits``-digit n (last digit nonzero) with n a multiple >= 2 of its reversal.
 
     The multiplier lam = n / reverse(n) is below base, because n < base**k and
@@ -763,4 +794,40 @@ def search_reversal(base: int, num_digits: int) -> list[ReversalHit]:
     values = sorted(
         v for layers, middle in automata for v in _reversal_values(layers, middle, base, num_digits)
     )
-    return [reversal_hit(n, base) for n in values]
+    return Hits([reversal_hit(n, base) for n in values], base**num_digits - 1)
+
+
+# -- dispatch --------------------------------------------------------------------
+
+
+def run_search(family: str, params) -> Hits:
+    """Run one family's search with the parameters read from ``params``.
+
+    ``params`` is any object with the fields the command line and a corpus
+    entry share: ``base``, ``k``, ``fn``, ``zero_pow_zero``, ``engine``,
+    ``cap``, ``include_zero``, ``max_order`` and ``digits``; each family reads
+    only its own.  An ``engine`` of None leaves the search's own default.
+    The searches are looked up by name when called, so a wrapper installed
+    on this module's ``search_*`` attributes sees every run.
+    """
+    if family not in FAMILIES:
+        raise ConfigurationError(f"unknown search family {family!r}")
+    if family == "armstrong":
+        return search_armstrong(params.base, params.max_order)
+    if family == "reversal":
+        return search_reversal(params.base, params.digits)
+    spec = parse_spec(params.fn).with_zero_self_power(params.zero_pow_zero)
+    base, cap, include_zero = params.base, params.cap, params.include_zero
+    engine = {} if params.engine is None else {"engine": params.engine}
+    if family == "hardy":
+        cfg = SearchConfig(spec, base, params.k, cap=cap, include_zero=include_zero, **engine)
+        return search_hardy(cfg)
+    if family == "wells":
+        return search_wells(spec, base, cap, include_zero)
+    if family == "wells-reverse":
+        return search_wells_reverse(spec, base, cap, include_zero)
+    if family == "dudeney":
+        return search_dudeney(spec, base, cap, include_zero=include_zero, **engine)
+    if spec.kind != "power":
+        raise ConfigurationError("power-sum search takes --fn pow:P for the exponent")
+    return search_powersum(spec.exponent, base, cap=cap, include_zero=include_zero, **engine)

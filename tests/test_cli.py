@@ -126,6 +126,74 @@ class TestSearchCommands:
         assert code == 0
         assert [r["value"] for r in records(out)] == [1, 3435, 438579088]
 
+    @pytest.mark.parametrize("cap", [[], ["--cap", "100"]])
+    def test_preimage_dudeney_needs_power_fn(self, capsys, cap):
+        code, out, err = run(
+            capsys, "search", "dudeney", "--fn", "factorial", "--engine", "preimage", *cap
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: the preimage engine needs a pure power function\n"
+
+    @pytest.mark.parametrize("order", ["-3", "0", "1"])
+    def test_armstrong_max_order_below_two_exits_two(self, capsys, order):
+        code, out, err = run(capsys, "search", "armstrong", "--max-order", order)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: max_order must be at least 2, got {order}\n"
+
+
+# One argv per search family and engine, frozen from the seven hand-written
+# runners the generic search runner replaced: (argv, format, exit code,
+# sha256 of stdout).
+GOLDEN = [
+    ("search hardy --fn factorial", "text", 0, "32a342b1a874d193be6ba3b10323e0028f29b0c7c82c30a35730c108ec6d53dc"),
+    ("search hardy --fn factorial", "records", 0, "105a7043e10339ed7c72d8b24c14bdb1f5b2495fccfbcdd989fa75901777a89c"),
+    ("search hardy --fn pow:3 --engine multiset --cap 1000", "text", 0, "a64cd3546b2ace27209aaf5534585126c5db64852a71cc81db5985e55ca42bf5"),
+    ("search hardy --fn pow:3 --engine multiset --cap 1000", "records", 0, "3bd3c1868a4d5a77ae8ea4cca4935baf300729d808b485e9598a87492ace9ffb"),
+    ("search hardy --fn selfpow --engine multiset --zero-pow-zero 0", "text", 0, "68f36581b4037b6831c21ee63abb4d91914a33a6deeac08080c48caf8370ffc1"),
+    ("search hardy --fn selfpow --engine multiset --zero-pow-zero 0", "records", 0, "c64038bb2a47361792ca4d2b6595c948c542f3d2f978ab88898b62e8b1d7a596"),
+    ("search armstrong --base 4", "text", 0, "71d14ecba89932b66a32551f554fd60426f4f96d87406bbeab38e0aa30947218"),
+    ("search armstrong --base 4", "records", 0, "4359bae74fb3c35951e8ec7c101ed84c91e59036f4d07d01c5bd951c9d9965ee"),
+    ("search wells --fn factorial", "text", 0, "35b4b54f31ff24a387318f23029e1a1be597a1b2d59497f4c9930562cd1df3bc"),
+    ("search wells --fn factorial", "records", 0, "dbcc343f49cc28f135ecd68ef5543a3a34e5666665da504b0ed7f7a1f691a64c"),
+    ("search wells-reverse --fn pow:5 --cap 100000", "text", 0, "2f764ecd9882998a624d17a2dc57d1f2722f895da809f8ec99358bad0748c4ee"),
+    ("search wells-reverse --fn pow:5 --cap 100000", "records", 0, "c74e1d825b7293418943f23277fc950bf90ba707f09ee1f955a1ca8b286c7e97"),
+    ("search dudeney --fn pow:3", "text", 0, "9e9145d1c637390274e767c89ce7ad6a520e246a4089d81d3b2e6802e300ce59"),
+    ("search dudeney --fn pow:3", "records", 0, "faf680dc3c09d0bb14050f484dc8f265edc25635b3d894aa8b4d857e2a1c1091"),
+    ("search dudeney --fn pow:3 --engine preimage --cap 20", "text", 0, "17f49f872c9336c3bb373ad69b4a46676d011db4b2e3d9a7facf97b2a4b1e2bc"),
+    ("search dudeney --fn pow:3 --engine preimage --cap 20", "records", 0, "42a424a30367af056ac04005ca1e9568b75dc231cfd1c1994f62b83ad1702d9f"),
+    ("search powersum --fn pow:3 --engine scan", "text", 0, "29029fc468300e9c543dc88e58987f953265cae47f17c63b948b9a931df83450"),
+    ("search powersum --fn pow:3 --engine scan", "records", 0, "894fdd129150a29c228e02541a4840718d6619fe4f3b75c0518eedd1f3853bc4"),
+    ("search reversal --digits 6", "text", 0, "5862f8c35b8c078e132c9b63370a29603c5161ab581248ae9d740779c09cd243"),
+    ("search reversal --digits 6", "records", 0, "601304d33f39dd2a58fe8437505f217913da4e209721fe6f9cb1128f7f80861b"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, exit_code, digest", GOLDEN, ids=[f"{a} {f}" for a, f, _, _ in GOLDEN])
+def test_search_output_is_frozen(capsys, argv, fmt, exit_code, digest):
+    code, out, _ = run(capsys, *argv.split(), "--format", fmt)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_reversal_text_summary(capsys):
+    code, out, _ = run(capsys, "search", "reversal", "--digits", "6")
+    assert code == 0
+    assert out == "879912 = 4 x 219978\n989901 = 9 x 109989\n2 hit(s) among 6-digit numbers\n"
+
+
+def _readme_commands():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        block = f.read().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines() if line.startswith("digitfix ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_examples_run(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
 
 class TestDeterminism:
     def test_records_identical_across_jobs(self, capsys):
@@ -236,6 +304,13 @@ class TestBoundCommands:
         assert code == 0
         (rec,) = records(out)
         assert rec["cutoff"] == 28 and rec["method"] == "analytic"
+
+    @pytest.mark.parametrize("kind", ["hardy", "wells", "dudeney", "powersum"])
+    def test_bound_records_print_the_canonical_fn(self, capsys, kind):
+        code, out, _ = run(capsys, "bound", kind, "--fn", "pow:03", "--format", "records")
+        assert code == 0
+        (rec,) = records(out)
+        assert rec["fn"] == "pow:3"
 
     def test_bound_dudeney_unsupported(self, capsys):
         assert run(capsys, "bound", "dudeney", "--fn", "fib")[0] == 3

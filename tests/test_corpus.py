@@ -52,6 +52,20 @@ def test_unparsable_spec_names_the_entry():
         _validate(bogus)
 
 
+def test_unknown_family_names_the_entry():
+    from digitfix.corpus import _validate
+
+    bogus = CorpusEntry(id="odd-one", kind="search", family="narcissus", fn="pow:3", expected=[1])
+    with pytest.raises(ConfigurationError, match="odd-one.*unknown family 'narcissus'"):
+        _validate(bogus)
+
+
+def test_armstrong_entry_below_order_two_is_refused():
+    bogus = CorpusEntry(id="a", kind="search", family="armstrong", max_order=1, expected=[])
+    with pytest.raises(ConfigurationError, match="max_order must be at least 2"):
+        check_entry(bogus)
+
+
 def test_expected_values_strictly_increasing_enforced():
     from digitfix.corpus import _validate
 

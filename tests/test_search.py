@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import digitfix.search
+from digitfix.bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
+from digitfix.corpus import CorpusEntry
 from digitfix.errors import ConfigurationError, UnsupportedFunctionError
 from digitfix.funcatalog import FunctionSpec, evaluate, parse_spec
 from digitfix.search import (
@@ -24,6 +27,7 @@ from digitfix.search import (
     hardy_hit,
     powersum_hit,
     reversal_hit,
+    run_search,
     search_armstrong,
     search_dudeney,
     search_hardy,
@@ -598,3 +602,110 @@ class TestHitVerification:
             reversal_hit(8713, 10)
         with pytest.raises(ValueError):
             reversal_hit(2178, 10)  # multiplier below 2 from the smaller side
+
+
+F3 = parse_spec("pow:3")
+
+
+class TestCeilings:
+    """Each search returns, with its hits, the ceiling it proved: the cap when
+    one was given, else the derived bound that the search itself used."""
+
+    @pytest.mark.parametrize(
+        "search, ceiling",
+        [
+            (lambda: search_hardy(SearchConfig(spec=parse_spec("factorial"))),
+             hardy_bound(parse_spec("factorial"), 10, 1).n_max),
+            (lambda: search_hardy(SearchConfig(spec=F3, engine="multiset")),
+             hardy_bound(F3, 10, 1).n_max),
+            (lambda: search_hardy(SearchConfig(spec=F3, cap=1000, engine="multiset")), 1000),
+            (lambda: search_armstrong(4), armstrong_order_ceiling(4) - 1),
+            (lambda: search_armstrong(10, 5), 5),
+            (lambda: search_armstrong(3, 50), armstrong_order_ceiling(3) - 1),
+            (lambda: search_wells(parse_spec("factorial"), 10),
+             wells_cutoff(parse_spec("factorial"), 10).cutoff),
+            (lambda: search_wells(parse_spec("factorial"), 10, 23), 23),
+            (lambda: search_wells_reverse(parse_spec("pow:5"), 10, 100000), 100000),
+            (lambda: search_dudeney(F3, 10), dudeney_cutoff(F3, 10).cutoff),
+            (lambda: search_dudeney(F3, 10, 20), 20),
+            (lambda: search_dudeney(F3, 10, engine="preimage"), powersum_bound(3, 10).s_max),
+            (lambda: search_dudeney(F3, 10, 100, engine="preimage"), 100),
+            (lambda: search_powersum(3, 10), powersum_bound(3, 10).s_max ** 3),
+            (lambda: search_powersum(3, 10, engine="scan", cap=5000), 5000),
+            (lambda: search_powersum(3, 10, cap=10**9), powersum_bound(3, 10).s_max ** 3),
+            (lambda: search_reversal(10, 6), 999999),
+            (lambda: search_reversal(8, 7), 8**7 - 1),
+        ],
+    )
+    def test_ceiling_is_the_cap_or_the_derived_bound(self, search, ceiling):
+        hits = search()
+        assert hits.ceiling == ceiling
+        assert [h.value for h in hits] == sorted(h.value for h in hits)
+
+    @pytest.mark.parametrize("order", [-3, 0, 1])
+    def test_armstrong_refuses_max_order_below_two(self, order):
+        with pytest.raises(ConfigurationError, match=f"max_order must be at least 2, got {order}"):
+            search_armstrong(10, order)
+
+
+class TestRunSearch:
+    @pytest.mark.parametrize(
+        "fields, direct",
+        [
+            (dict(family="hardy", fn="factorial"),
+             lambda: search_hardy(SearchConfig(spec=parse_spec("factorial")))),
+            (dict(family="hardy", fn="pow:3", k=2, engine="scan", cap=10**5),
+             lambda: search_hardy(SearchConfig(spec=parse_spec("pow:3"), width=2, cap=10**5))),
+            (dict(family="hardy", fn="selfpow", engine="multiset", zero_pow_zero=0),
+             lambda: search_hardy(
+                 SearchConfig(spec=parse_spec("selfpow").with_zero_self_power(0), engine="multiset")
+             )),
+            (dict(family="armstrong", base=4, max_order=3), lambda: search_armstrong(4, 3)),
+            (dict(family="wells", fn="subfactorial"),
+             lambda: search_wells(parse_spec("subfactorial"), 10)),
+            (dict(family="wells-reverse", fn="pow:5", cap=10**5, include_zero=True),
+             lambda: search_wells_reverse(parse_spec("pow:5"), 10, 10**5, True)),
+            (dict(family="dudeney", fn="pow:3", engine="preimage"),
+             lambda: search_dudeney(parse_spec("pow:3"), 10, engine="preimage")),
+            (dict(family="powersum", fn="pow:3"), lambda: search_powersum(3, 10)),
+            (dict(family="powersum", fn="pow:3", engine="scan", base=7),
+             lambda: search_powersum(3, 7, engine="scan")),
+            (dict(family="reversal", digits=6), lambda: search_reversal(10, 6)),
+        ],
+    )
+    def test_matches_the_direct_search(self, fields, direct):
+        entry = CorpusEntry(id="e", kind="search", expected=[], **fields)
+        got, want = run_search(entry.family, entry), direct()
+        assert got == want and got.ceiling == want.ceiling
+
+    def test_default_engines(self, monkeypatch):
+        seen = []
+        for name in ("search_hardy", "search_dudeney", "search_powersum"):
+            original = getattr(digitfix.search, name)
+
+            def spy(*args, _original=original, **kwargs):
+                seen.append(kwargs.get("engine", getattr(args[0], "engine", None)))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(digitfix.search, name, spy)
+        for family in ("hardy", "dudeney", "powersum"):
+            run_search(family, CorpusEntry(id="e", kind="search", expected=[], fn="pow:2"))
+        # hardy's engine is its config's; the digit-sum searches keep their own defaults
+        assert seen == ["scan", None, None]
+
+    def test_looks_up_the_searches_when_called(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(digitfix.search, "search_wells", lambda *a: calls.append(a) or [])
+        entry = CorpusEntry(id="e", kind="search", expected=[], family="wells", fn="factorial")
+        assert run_search("wells", entry) == []
+        assert calls == [(parse_spec("factorial"), 10, None, False)]
+
+    def test_unknown_family(self):
+        entry = CorpusEntry(id="e", kind="search", expected=[], fn="pow:3")
+        with pytest.raises(ConfigurationError, match="unknown search family 'narcissus'"):
+            run_search("narcissus", entry)
+
+    def test_powersum_needs_a_power(self):
+        entry = CorpusEntry(id="e", kind="search", expected=[], fn="factorial")
+        with pytest.raises(ConfigurationError, match="pow:P"):
+            run_search("powersum", entry)
