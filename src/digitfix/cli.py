@@ -18,18 +18,33 @@ as ``bound_used`` (and in the text summary) is the one that search proved and
 returned with its hits.  This module parses arguments and renders hits; it
 derives no ceiling of its own on a search path.
 
-``--jobs`` (default from the ``DIGITFIX_JOBS`` environment variable, else 1)
-is accepted for compatibility and ignored: every search runs in one process.
-It is still read when the command runs and must be a positive integer (exit
-2 otherwise).  Results never depend on it.
+The command line is read against one option table, ``_COMMANDS``.  For each
+``command subcommand`` pair it lists the help line, the attributes the pair
+sets by default (its runner ``run``; every search also ``k = 1`` and
+``engine = None``, the family's own engine) and its options.  An option
+(:class:`_Option`) names its flags, the attribute it sets, its type (``int``,
+``str``, or ``bool`` for a flag that stores True), its choices, default,
+whether it is required, and its help.  :func:`_parse` reads a command line
+against the table as ``argparse`` would: ``--opt value`` and ``--opt=value``,
+``-l 50`` and ``-l50``, a unique prefix of a long flag (an ambiguous one is
+an error), ``int()`` before the choices are checked, the last of repeated
+options, a negative number as a value, and ``-h``/``--help`` at every level,
+printed on stdout from the same table.  A usage error exits 2 with the
+failing level's usage line and ``digitfix <path>: error: <message>`` on
+stderr.  Neither ``argparse`` nor ``json`` is imported: with ``re``, which
+both load, they cost more start-up than most searches.  :func:`_record`
+writes the records.
+
+``--jobs`` (``search`` and ``bound``; default from the ``DIGITFIX_JOBS``
+environment variable, else 1) is accepted for compatibility and ignored:
+every search runs in one process.  It is still read when the command runs
+and must be a positive integer (exit 2 otherwise); ``DIGITFIX_JOBS`` is
+checked so for every command.  Results never depend on it.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import re
 import sys
 
 from .bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
@@ -44,18 +59,54 @@ _EXIT_CORPUS = 1
 _EXIT_USAGE = 2
 _EXIT_UNSUPPORTED = 3
 
+# JSON string escapes other than \uXXXX, as json.dumps writes them
+_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"
+}
+
+
+def _escape(char: str) -> str:
+    if char in _ESCAPES:
+        return _ESCAPES[char]
+    if " " <= char <= "~":
+        return char
+    code = ord(char)
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    code -= 0x10000  # a surrogate pair
+    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+
+
+def _quote(text: str) -> str:
+    """A JSON string literal in ASCII, as ``json.dumps`` writes it."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
 
 def _record(value) -> str:
-    """Compact JSON with sorted keys, as ``json.dumps`` writes it, except that
-    integers of any size print in full: str() and ``json`` refuse those past
-    the interpreter's int-to-str digit limit."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    """Compact JSON with sorted keys, as ``json.dumps(value, sort_keys=True,
+    separators=(",", ":"))`` writes it, except that integers of any size print
+    in full: str() and ``json`` refuse those past the interpreter's int-to-str
+    digit limit.  A value is a dict with str keys, a list or tuple, a str, an
+    int, a bool, None or a finite float."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
         return decimal_str(value)
     if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_record(value[k])}" for k in sorted(value)) + "}"
+        return "{" + ",".join(f"{_quote(k)}:{_record(value[k])}" for k in sorted(value)) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(map(_record, value)) + "]"
-    return json.dumps(value)
+    if isinstance(value, float) and value - value == 0:  # finite: inf - inf is nan
+        return float.__repr__(value)
+    raise TypeError(f"a record cannot hold {value!r}")
 
 
 def _describe_hit(h) -> str:
@@ -126,6 +177,8 @@ def _run_bound_hardy(args) -> int:
             )
         )
         return _EXIT_OK
+    import re  # only this text path needs it, and it costs every command's start-up
+
     print(f"block image maximum s = {elide_numeral(report.s_k)}")
     print(f"block count threshold M = {report.block_threshold}")
     print(f"search ceiling n_max = {elide_numeral(report.n_max)}")
@@ -291,111 +344,397 @@ def _check_jobs(flag: str | None) -> None:
         raise ConfigurationError(f"{source} must be a positive integer, got {text!r}")
 
 
+# -- option table ----------------------------------------------------------------
+
+
+class _Option:
+    """One option of a subcommand: its flags and how its value is read.
+
+    ``kind`` is ``int`` or ``str`` for an option that takes a value, ``bool``
+    for a flag that stores True, and None for ``-h/--help``.  ``dest``, the
+    attribute the option sets, is named after the first flag.
+    """
+
+    __slots__ = ("flags", "dest", "kind", "choices", "default", "required", "help")
+
+    def __init__(
+        self, flags, kind=str, *, choices=None, default=None, required=False, help=""
+    ) -> None:
+        self.flags = flags
+        self.dest = flags[0].lstrip("-").replace("-", "_")
+        self.kind = kind
+        self.choices = choices
+        self.default = False if kind is bool else default
+        self.required = required
+        self.help = help
+
+    @property
+    def takes_value(self) -> bool:
+        return self.kind is int or self.kind is str
+
+    @property
+    def name(self) -> str:
+        return "/".join(self.flags)
+
+    @property
+    def metavar(self) -> str:
+        if self.choices is None:
+            return self.dest.upper()
+        return "{" + ",".join(map(str, self.choices)) + "}"
+
+    def usage(self) -> str:
+        text = f"{self.flags[0]} {self.metavar}" if self.takes_value else self.flags[0]
+        return text if self.required else f"[{text}]"
+
+    def signature(self) -> str:
+        flags = ", ".join(self.flags)
+        return f"{flags} {self.metavar}" if self.takes_value else flags
+
+    def describe(self) -> str:
+        if self.required:
+            return f"{self.help} (required)"
+        if self.default is None or self.default is False:
+            return self.help
+        return f"{self.help} (default: {self.default})"
+
+
+def _engine(*names: str) -> _Option:
+    return _Option(
+        ("--engine",), choices=names, help=f"search engine (the family's own: {names[0]})"
+    )
+
+
+_HELP = _Option(("-h", "--help"), None, help="show this help and exit")
+_BASE = _Option(("--base",), int, default=10, help="radix of the digits")
+_FN = _Option(("--fn",), required=True, help="function spec, e.g. pow:3, factorial")
+_FORMAT = _Option(
+    ("--format",), choices=("text", "records"), default="text",
+    help="text lines, or one JSON record per line",
+)
+_JOBS = _Option(
+    ("--jobs",), help="ignored, since every search runs in one process; must be a positive "
+    "integer (default: DIGITFIX_JOBS or 1)",
+)
+_K = _Option(("--k",), int, default=1, help="digits per block")
+_CAP = _Option(("--cap",), int, help="search up to this ceiling instead of the derived one")
+_ZERO_FLAGS = (
+    _Option(("--include-zero",), bool, help="also test n = 0"),
+    _Option(
+        ("--zero-pow-zero",), int, choices=(0, 1), default=1, help="the value of 0^0 in selfpow"
+    ),
+)
+_ELIDE = _Option(
+    ("--elide",), int, default=1000, help="digit count above which numerals print elided"
+)
+
+# a family without --k or --engine searches width 1 with its own default engine
+_SEARCH = {"run": _run_search, "k": 1, "engine": None}
+
+# (command, subcommand) -> (help, attribute defaults, options), in help order
+_COMMANDS = {
+    ("search", "hardy"): (
+        "n equal to the F-sum of its digit blocks", _SEARCH,
+        (_BASE, _FN, _FORMAT, _JOBS, _engine("scan", "multiset"), _K, _CAP, *_ZERO_FLAGS),
+    ),
+    ("search", "armstrong"): (
+        "m-digit n equal to the sum of m-th powers of digits", _SEARCH,
+        (_BASE, _FORMAT, _JOBS, _Option(("--max-order",), int, help="largest digit count m")),
+    ),
+    ("search", "wells"): (
+        "n equal to the digit count of F(n)", _SEARCH,
+        (_BASE, _FN, _FORMAT, _JOBS, _CAP, *_ZERO_FLAGS),
+    ),
+    ("search", "wells-reverse"): (
+        "n equal to F(digit count of n)", _SEARCH,
+        (_BASE, _FN, _FORMAT, _JOBS, _Option(("--cap",), int, required=True, help=_CAP.help),
+         *_ZERO_FLAGS),
+    ),
+    ("search", "dudeney"): (
+        "n equal to the digit sum of F(n)", _SEARCH,
+        (_BASE, _FN, _FORMAT, _JOBS, _engine("scan", "preimage"), _CAP, *_ZERO_FLAGS),
+    ),
+    ("search", "powersum"): (
+        "n equal to its digit sum raised to a power", _SEARCH,
+        (_BASE, _FN, _FORMAT, _JOBS, _engine("preimage", "scan"), _CAP, *_ZERO_FLAGS),
+    ),
+    ("search", "reversal"): (
+        "n an integral multiple of its digit reversal", _SEARCH,
+        (_BASE, _FORMAT, _JOBS, _Option(("--digits",), int, required=True, help="digits of n")),
+    ),
+    ("bound", "hardy"): (
+        "the block-sum ceiling of search hardy", {"run": _run_bound_hardy},
+        (_BASE, _FN, _FORMAT, _JOBS, _K),
+    ),
+    ("bound", "wells"): (
+        "the digit-count cutoff of search wells", {"run": _run_bound_wells},
+        (_BASE, _FN, _FORMAT, _JOBS),
+    ),
+    ("bound", "dudeney"): (
+        "the digit-sum cutoff of search dudeney", {"run": _run_bound_dudeney},
+        (_BASE, _FN, _FORMAT, _JOBS),
+    ),
+    ("bound", "powersum"): (
+        "the largest admissible digit sum of search powersum", {"run": _run_bound_powersum},
+        (_BASE, _FN, _FORMAT, _JOBS),
+    ),
+    ("family", "piezas"): (
+        "Fermat-prime concatenated-square pair", {"run": _run_family_piezas},
+        (
+            _Option(("--fermat-index",), int, choices=(2, 3, 4), required=True,
+                    help="i of the Fermat prime 2^(2^i) + 1"),
+            _Option(("--t",), int, default=0, help="member t of the family"),
+            _ELIDE,
+            _FORMAT,
+        ),
+    ),
+    ("family", "vitalis"): (
+        "cube family seeded by 153", {"run": _run_family_vitalis},
+        (_Option(("--repeat", "-l"), int, required=True, help="repeated digits l"), _ELIDE, _FORMAT),
+    ),
+    ("corpus", "check"): (
+        "re-run every corpus entry against its frozen answer", {"run": _run_corpus_check},
+        (_FORMAT,),
+    ),
+}
+
+# command -> (attribute naming its subcommand, help)
+_GROUPS = {
+    "search": ("family", "run a fixed-point search"),
+    "bound": ("bound_kind", "derive a search ceiling and show why it is sound"),
+    "family": ("family_kind", "generate a member of an infinite identity family"),
+    "corpus": ("corpus_op", "regression-check the embedded ground-truth corpus"),
+}
+
+_DESCRIPTION = (
+    "Search for digit-defined fixed points with provable ceilings, derive the\n"
+    "ceilings, and generate exact identity families."
+)
+
+
+def _level(path: tuple):
+    """(help, options, subcommands, attribute) of one level of the command path.
+
+    ``subcommands`` maps each name the level takes next to its help, and
+    ``attribute`` is where the name goes; both are None at a subcommand.
+    """
+    if not path:
+        names = {command: help_text for command, (_, help_text) in _GROUPS.items()}
+        return _DESCRIPTION, (_HELP,), names, "command"
+    if len(path) == 1:
+        attribute, help_text = _GROUPS[path[0]]
+        names = {sub: entry[0] for (command, sub), entry in _COMMANDS.items() if command == path[0]}
+        return help_text, (_HELP,), names, attribute
+    help_text, _, options = _COMMANDS[path]
+    return help_text, (_HELP, *options), None, None
+
+
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_common(sub, fn_required=True, engines=None):
-    sub.add_argument("--base", type=int, default=10)
-    if fn_required:
-        sub.add_argument("--fn", required=True, help="function spec, e.g. pow:3, factorial")
-    sub.add_argument("--format", choices=("text", "records"), default="text")
-    sub.add_argument(
-        "--jobs",
-        help="accepted and ignored: every search runs in one process; must be a positive "
-        "integer (default: DIGITFIX_JOBS or 1)",
-    )
-    if engines:
-        sub.add_argument("--engine", choices=engines)
+class _UsageError(Exception):
+    """A command line the table rejects; ``path`` is the level that failed."""
+
+    path: tuple = ()
 
 
-def _add_zero_flags(sub):
-    sub.add_argument("--include-zero", action="store_true")
-    sub.add_argument("--zero-pow-zero", type=int, choices=(0, 1), default=1)
+class _Args:
+    """What a command line sets: the subcommand names, ``run`` and every option's value."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="digitfix",
-        description="Search for digit-defined fixed points with provable ceilings, "
-        "derive the ceilings, and generate exact identity families.",
-    )
-    top = parser.add_subparsers(dest="command", required=True)
+# what a token is, besides an option: a value, the "--" that ends the options,
+# or a flag that names no option of the level
+_VALUE, _DASHES, _UNKNOWN = "value", "--", "unknown"
 
-    search = top.add_parser("search", help="run a fixed-point search")
-    # a family without --k or --engine searches width 1 with its own default engine
-    search.set_defaults(run=_run_search, k=1, engine=None)
-    fams = search.add_subparsers(dest="family", required=True)
 
-    for name, help_text, engines in (
-        ("hardy", "n equal to the F-sum of its digit blocks", ("scan", "multiset")),
-        ("armstrong", "m-digit n equal to the sum of m-th powers of digits", None),
-        ("wells", "n equal to the digit count of F(n)", None),
-        ("wells-reverse", "n equal to F(digit count of n)", None),
-        ("dudeney", "n equal to the digit sum of F(n)", ("scan", "preimage")),
-        ("powersum", "n equal to its digit sum raised to a power", ("preimage", "scan")),
-        ("reversal", "n an integral multiple of its digit reversal", None),
-    ):
-        p = fams.add_parser(name, help=help_text)
-        _add_common(p, fn_required=name not in ("armstrong", "reversal"), engines=engines)
-        if name == "armstrong":
-            p.add_argument("--max-order", type=int)
-        elif name == "reversal":
-            p.add_argument("--digits", type=int, required=True)
-        else:
-            if name == "hardy":
-                p.add_argument("--k", type=int, default=1, help="digits per block")
-            p.add_argument("--cap", type=int, required=name == "wells-reverse")
-            _add_zero_flags(p)
+def _is_negative_number(token: str) -> bool:
+    """Whether a token is ``-5``, ``-.5`` or ``-1.5``, decimal digits only:
+    argparse reads such a token as a value, never as a flag."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]  # "$" matches before a final newline
+    whole, dot, fraction = body.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and fraction.isdecimal()
 
-    bound = top.add_parser("bound", help="derive a search ceiling and show why it is sound")
-    bounds = bound.add_subparsers(dest="bound_kind", required=True)
-    for name, runner, with_k in (
-        ("hardy", _run_bound_hardy, True),
-        ("wells", _run_bound_wells, False),
-        ("dudeney", _run_bound_dudeney, False),
-        ("powersum", _run_bound_powersum, False),
-    ):
-        p = bounds.add_parser(name)
-        _add_common(p)
-        if with_k:
-            p.add_argument("--k", type=int, default=1)
-        p.set_defaults(run=runner)
 
-    family = top.add_parser("family", help="generate a member of an infinite identity family")
-    fam = family.add_subparsers(dest="family_kind", required=True)
+def _read_token(token: str, flags: dict):
+    """(option, flag, attached value or None) for an option token, else a kind.
 
-    p = fam.add_parser("piezas", help="Fermat-prime concatenated-square pair")
-    p.add_argument("--fermat-index", type=int, required=True, choices=(2, 3, 4))
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--elide", type=int, default=1000, help="digit threshold before numerals elide")
-    p.add_argument("--format", choices=("text", "records"), default="text")
-    p.set_defaults(run=_run_family_piezas)
+    The rules are argparse's: an exact flag, then ``flag=value``, then a
+    unique prefix of a long flag (``--max``, also with ``=value``) or a short
+    flag with its value attached (``-l50``).  A token that names no option is
+    a value if it is a negative number or holds a space, else an unknown flag.
+    """
+    if not token.startswith("-") or len(token) == 1:
+        return _VALUE
+    if token in flags:
+        return flags[token], token, None
+    flag, eq, value = token.partition("=")
+    if eq and flag in flags:
+        return flags[flag], flag, value
+    if token[1] == "-":
+        matches = [(flags[f], f, value if eq else None) for f in flags if f.startswith(flag)]
+    else:
+        matches = [
+            (flags[f], f, token[2:] if f == token[:2] else None)
+            for f in flags
+            if f == token[:2] or f.startswith(token)
+        ]
+    if len(matches) > 1:
+        names = ", ".join(f for _, f, _ in matches)
+        raise _UsageError(f"ambiguous option: {token} could match {names}")
+    if matches:
+        return matches[0]
+    if _is_negative_number(token) or " " in token:
+        return _VALUE
+    return _UNKNOWN
 
-    p = fam.add_parser("vitalis", help="cube family seeded by 153")
-    p.add_argument("--repeat", "-l", type=int, required=True, dest="repeat")
-    p.add_argument("--elide", type=int, default=1000)
-    p.add_argument("--format", choices=("text", "records"), default="text")
-    p.set_defaults(run=_run_family_vitalis)
 
-    corpus = top.add_parser("corpus", help="regression-check the embedded ground-truth corpus")
-    ops = corpus.add_subparsers(dest="corpus_op", required=True)
-    p = ops.add_parser("check")
-    p.add_argument("--format", choices=("text", "records"), default="text")
-    p.set_defaults(run=_run_corpus_check)
+def _read_tokens(tokens: list, flags: dict) -> list:
+    """The kind of each token; every token after the first "--" is a value."""
+    kinds = []
+    for n, token in enumerate(tokens):
+        if token == "--":
+            return kinds + [_DASHES] + [_VALUE] * (len(tokens) - n - 1)
+        kinds.append(_read_token(token, flags))
+    return kinds
 
-    return parser
+
+def _read_option(read, tokens: list, kinds: list, i: int, flags: dict):
+    """The (option, value text) pairs that the option token at ``i`` sets,
+    and the index of the token after them.
+
+    A flag that takes no value may carry more single-dash flags: ``-hx``
+    reads as ``-h -x``.
+    """
+    option, flag, value = read
+    taken = []
+    while value is not None and not option.takes_value:
+        if flag[1] == "-" or value == "" or "-" + value[0] not in flags:
+            raise _UsageError(f"argument {option.name}: ignored explicit argument {value!r}")
+        taken.append((option, None))
+        flag, value = "-" + value[0], value[1:] or None
+        option = flags[flag]
+    if not option.takes_value or value is not None:
+        taken.append((option, value))
+        return taken, i + 1
+    if i + 1 < len(tokens) and kinds[i + 1] is _VALUE:
+        taken.append((option, tokens[i + 1]))
+        return taken, i + 2
+    raise _UsageError(f"argument {option.name}: expected one argument")
+
+
+def _convert(option: _Option, text: str | None):
+    if option.kind is bool:
+        return True
+    value = text
+    if option.kind is int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise _UsageError(f"argument {option.name}: invalid int value: {text!r}") from None
+    if option.choices is not None and value not in option.choices:
+        raise _invalid_choice(option.name, value, option.choices)
+    return value
+
+
+def _invalid_choice(name: str, value, choices) -> _UsageError:
+    listed = ", ".join(map(repr, choices))
+    return _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+
+
+def _parse(argv: list):
+    """The attributes a command line sets, or None once help is printed.
+
+    Each level of the command path reads its tokens in order.  At
+    ``digitfix`` and ``digitfix <command>`` the first value names the next
+    level, which reads the rest; at a subcommand every token must be one of
+    its options or an option's value.  Unknown flags are reported when the
+    command line is complete, so ``-h`` after one still prints help.
+    """
+    args = _Args()
+    path = ()
+    tokens = list(argv)
+    extras = []  # unknown flags and stray values
+    try:
+        while True:
+            _, options, subcommands, attribute = _level(path)
+            if subcommands is None:
+                for name, value in _COMMANDS[path][1].items():
+                    setattr(args, name, value)
+                for option in options[1:]:
+                    setattr(args, option.dest, option.default)
+            flags = {flag: option for option in options for flag in option.flags}
+            kinds = _read_tokens(tokens, flags)
+            seen = set()
+            i = 0
+            while i < len(tokens):
+                kind = kinds[i]
+                if isinstance(kind, tuple):
+                    taken, i = _read_option(kind, tokens, kinds, i, flags)
+                    for option, text in taken:
+                        if option.kind is None:
+                            sys.stdout.write(_help(path))
+                            return None
+                        setattr(args, option.dest, _convert(option, text))
+                        seen.add(option)
+                elif subcommands is not None and kind is not _UNKNOWN:
+                    break
+                else:
+                    extras.append(tokens[i])
+                    i += 1
+            if subcommands is None:
+                missing = [o.name for o in options if o.required and o not in seen]
+                if missing:
+                    raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+                if extras:
+                    raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+                return args
+            if i == len(tokens):
+                raise _UsageError(f"the following arguments are required: {attribute}")
+            name = tokens[i]
+            if name not in subcommands:
+                raise _invalid_choice(attribute, name, subcommands)
+            setattr(args, attribute, name)
+            path += (name,)
+            tokens = tokens[i + 1 :]
+    except _UsageError as exc:
+        exc.path = path
+        raise
+
+
+def _usage(path: tuple) -> str:
+    _, options, subcommands, _ = _level(path)
+    words = ["digitfix", *path, *(option.usage() for option in options)]
+    if subcommands is not None:
+        words.append("{" + ",".join(subcommands) + "} ...")
+    return " ".join(words)
+
+
+def _help(path: tuple) -> str:
+    help_text, options, subcommands, _ = _level(path)
+    sections = []
+    if subcommands is not None:
+        sections.append(("commands" if not path else "subcommands", list(subcommands.items())))
+    sections.append(("options", [(option.signature(), option.describe()) for option in options]))
+    width = max(len(left) for _, rows in sections for left, _ in rows) + 2
+    lines = [f"usage: {_usage(path)}", "", help_text]
+    for title, rows in sections:
+        lines += ["", f"{title}:"]
+        lines += [f"  {left.ljust(width)}{right}".rstrip() for left, right in rows]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else _EXIT_USAGE
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        prog = " ".join(("digitfix", *exc.path))
+        print(f"usage: {_usage(exc.path)}\n{prog}: error: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
+    if args is None:  # help was printed
+        return _EXIT_OK
     try:
-        if hasattr(args, "jobs"):
-            _check_jobs(args.jobs)
+        _check_jobs(getattr(args, "jobs", None))
         if getattr(args, "elide", 0) < 0:
             raise ConfigurationError(f"--elide must be a natural number, got {args.elide}")
         return args.run(args)

@@ -23,8 +23,6 @@ Entry schema (one JSON object per entry):
 
 from __future__ import annotations
 
-import json
-
 from ._record import Record, setfield
 from .errors import ConfigurationError
 from .families import piezas_numerals, verify_concat_square, vitalis_generate
@@ -109,8 +107,10 @@ class CorpusReport(Record):
 
 
 def load_corpus() -> list[CorpusEntry]:
-    # imported here: importlib.resources costs start-up and, from Python 3.12
-    # on, imports inspect, which no other command needs
+    # imported here: json (with re) and importlib.resources cost start-up, and
+    # from Python 3.12 on importlib.resources imports inspect; no other
+    # command needs them
+    import json
     from importlib import resources
 
     raw = resources.files("digitfix").joinpath("data/corpus.json").read_text()

@@ -1,21 +1,67 @@
 import ast
 import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitfix.cli import main
+from digitfix.search import Hits
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# the fields of a search's parameters that run_search reads
+_PARAM_FIELDS = ("base", "k", "fn", "zero_pow_zero", "engine", "cap", "include_zero", "max_order", "digits")
+
+
+def callees(monkeypatch, argv):
+    """Run main on argv with every callee of a command replaced by a recorder.
+
+    Returns the calls the command made, as (callee, arguments...) tuples, its
+    exit code and its stdout.  A search's parameters are recorded field by
+    field, "absent" for a field the parsed arguments lack.
+    """
+    import digitfix.cli as cli
+
+    calls = []
+
+    def stub(name, result, describe=lambda *args: args):
+        def record(*args):
+            calls.append((name, *describe(*args)))
+            return result
+
+        monkeypatch.setattr(cli, name, record)
+
+    report = SimpleNamespace(
+        s_k=0, block_threshold=0, n_max=0, justification=(), cutoff=0, method="stub",
+        witnesses=(), coarse=0, s_max=0,
+    )
+    stub("run_search", Hits([], 0),
+         lambda family, p: (family, tuple(getattr(p, f, "absent") for f in _PARAM_FIELDS)))
+    for name in ("hardy_bound", "wells_cutoff", "dudeney_cutoff"):
+        stub(name, report, lambda spec, *rest: (spec.text, *rest))
+    stub("powersum_bound", report)
+    stub("piezas_numerals", ("1", "2", 3))
+    stub("vitalis_generate", (1, 2, 3, 4))
+    stub("corpus_check", SimpleNamespace(results=(), mismatches=()))
+    monkeypatch.delenv("DIGITFIX_JOBS", raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return calls, code, out.getvalue()
 
 
 def records(stdout):
@@ -177,6 +223,354 @@ def test_search_output_is_frozen(capsys, argv, fmt, exit_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Every README "Command line" line and every distinct argv of the benchmark
+# workloads, with what the command hands its callees: the calls recorded by
+# callees() and the stdout rendered from the recorders' stub results.
+GOLDEN_PARSE = [
+    ("search hardy --fn factorial --base 10",
+     [("run_search", "hardy", (10, 1, "factorial", 1, None, None, False, "absent", "absent"))],
+     "0 hit(s), search ceiling 0\n"),
+    ("search hardy --fn selfpow --engine multiset --zero-pow-zero 0",
+     [("run_search", "hardy", (10, 1, "selfpow", 0, "multiset", None, False, "absent", "absent"))],
+     "0 hit(s), search ceiling 0\n"),
+    ("search hardy --fn pow:3 --k 2",
+     [("run_search", "hardy", (10, 2, "pow:3", 1, None, None, False, "absent", "absent"))],
+     "0 hit(s), search ceiling 0\n"),
+    ("search armstrong --base 4",
+     [("run_search", "armstrong", (4, 1, "absent", "absent", None, "absent", "absent", None, "absent"))],
+     "0 hit(s), search ceiling 0\n"),
+    ("search wells --fn subfactorial",
+     [("run_search", "wells", (10, 1, "subfactorial", 1, None, None, False, "absent", "absent"))],
+     "0 hit(s), search ceiling 0\n"),
+    ("search wells-reverse --fn pow:5 --cap 100000",
+     [("run_search", "wells-reverse", (10, 1, "pow:5", 1, None, 100000, False, "absent", "absent"))],
+     "0 hit(s), search ceiling 0\n"),
+    ("search dudeney --fn pow:3",
+     [("run_search", "dudeney", (10, 1, "pow:3", 1, None, None, False, "absent", "absent"))],
+     "0 hit(s), search ceiling 0\n"),
+    ("search powersum --fn pow:3 --engine scan",
+     [("run_search", "powersum", (10, 1, "pow:3", 1, "scan", None, False, "absent", "absent"))],
+     "0 hit(s), search ceiling 0\n"),
+    ("search reversal --digits 4",
+     [("run_search", "reversal", (10, 1, "absent", "absent", None, "absent", "absent", "absent", 4))],
+     "0 hit(s) among 4-digit numbers\n"),
+    ("bound hardy --fn pow:5",
+     [("hardy_bound", "pow:5", 10, 1)],
+     "block image maximum s = 0\nblock count threshold M = 0\nsearch ceiling n_max = 0\n"),
+    ("bound wells --fn factorial",
+     [("wells_cutoff", "factorial", 10)],
+     "no fixed point of digit_count(F(n)) = n at or above 0 (stub)\n"),
+    ("family piezas --fermat-index 4 --t 0",
+     [("piezas_numerals", 4, 0)],
+     "block length 3\nx = 1\ny = 2\nverified: x*10^L + y = x^2 + y^2 holds exactly\n"),
+    ("family vitalis -l 50",
+     [("vitalis_generate", 50)],
+     "x = 1\ny = 2\nz = 3\nx^3 + y^3 + z^3 = 4\nverified: identity holds exactly\n"),
+    ("corpus check",
+     [("corpus_check",)],
+     "0 entries, 0 mismatches\n"),
+    ("search hardy --fn pow:7 --format records --jobs 2",
+     [("run_search", "hardy", (10, 1, "pow:7", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search hardy --fn expbase:5 --format records --jobs 2",
+     [("run_search", "hardy", (10, 1, "expbase:5", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search hardy --fn factorial --format records --jobs 2",
+     [("run_search", "hardy", (10, 1, "factorial", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search hardy --fn pow:3 --k 2 --format records --jobs 2",
+     [("run_search", "hardy", (10, 2, "pow:3", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search powersum --fn pow:4 --engine scan --format records --jobs 2",
+     [("run_search", "powersum", (10, 1, "pow:4", 1, "scan", None, False, "absent", "absent"))],
+     ""),
+    ("search reversal --digits 6 --format records --jobs 2",
+     [("run_search", "reversal", (10, 1, "absent", "absent", None, "absent", "absent", "absent", 6))],
+     ""),
+    ("search reversal --digits 7 --base 8 --format records --jobs 2",
+     [("run_search", "reversal", (8, 1, "absent", "absent", None, "absent", "absent", "absent", 7))],
+     ""),
+    ("search hardy --fn selfpow --engine multiset --base 11 --format records --jobs 1",
+     [("run_search", "hardy", (11, 1, "selfpow", 1, "multiset", None, False, "absent", "absent"))],
+     ""),
+    ("search armstrong --max-order 12 --format records --jobs 1",
+     [("run_search", "armstrong", (10, 1, "absent", "absent", None, "absent", "absent", 12, "absent"))],
+     ""),
+    ("search armstrong --base 5 --format records --jobs 1",
+     [("run_search", "armstrong", (5, 1, "absent", "absent", None, "absent", "absent", None, "absent"))],
+     ""),
+    ("search hardy --fn expbase:9 --engine multiset --format records --jobs 1",
+     [("run_search", "hardy", (10, 1, "expbase:9", 1, "multiset", None, False, "absent", "absent"))],
+     ""),
+    ("search hardy --fn pow:8 --engine multiset --format records --jobs 1",
+     [("run_search", "hardy", (10, 1, "pow:8", 1, "multiset", None, False, "absent", "absent"))],
+     ""),
+    ("search hardy --fn pow:9 --engine multiset --format records --jobs 1",
+     [("run_search", "hardy", (10, 1, "pow:9", 1, "multiset", None, False, "absent", "absent"))],
+     ""),
+    ("bound hardy --fn pow:5 --format records --jobs 1",
+     [("hardy_bound", "pow:5", 10, 1)],
+     '{"base":10,"block_threshold":0,"bound":"hardy","fn":"pow:5","justification":[],"k":1,"n_max":0,"s_k":0}\n'),
+    ("bound hardy --fn selfpow --format records --jobs 1",
+     [("hardy_bound", "selfpow", 10, 1)],
+     '{"base":10,"block_threshold":0,"bound":"hardy","fn":"selfpow","justification":[],"k":1,"n_max":0,"s_k":0}\n'),
+    ("bound hardy --fn factorial --format records --jobs 1",
+     [("hardy_bound", "factorial", 10, 1)],
+     '{"base":10,"block_threshold":0,"bound":"hardy","fn":"factorial","justification":[],"k":1,"n_max":0,"s_k":0}\n'),
+    ("bound hardy --fn pow:3 --k 2 --format records --jobs 1",
+     [("hardy_bound", "pow:3", 10, 2)],
+     '{"base":10,"block_threshold":0,"bound":"hardy","fn":"pow:3","justification":[],"k":2,"n_max":0,"s_k":0}\n'),
+    ("bound hardy --fn pow:4 --format records --jobs 1",
+     [("hardy_bound", "pow:4", 10, 1)],
+     '{"base":10,"block_threshold":0,"bound":"hardy","fn":"pow:4","justification":[],"k":1,"n_max":0,"s_k":0}\n'),
+    ("bound hardy --fn expbase:4 --format records --jobs 1",
+     [("hardy_bound", "expbase:4", 10, 1)],
+     '{"base":10,"block_threshold":0,"bound":"hardy","fn":"expbase:4","justification":[],"k":1,"n_max":0,"s_k":0}\n'),
+    ("bound wells --fn factorial --format records --jobs 1",
+     [("wells_cutoff", "factorial", 10)],
+     '{"base":10,"bound":"wells","cutoff":0,"fn":"factorial","method":"stub","witnesses":[]}\n'),
+    ("bound wells --fn subfactorial --format records --jobs 1",
+     [("wells_cutoff", "subfactorial", 10)],
+     '{"base":10,"bound":"wells","cutoff":0,"fn":"subfactorial","method":"stub","witnesses":[]}\n'),
+    ("bound wells --fn selfpow --format records --jobs 1",
+     [("wells_cutoff", "selfpow", 10)],
+     '{"base":10,"bound":"wells","cutoff":0,"fn":"selfpow","method":"stub","witnesses":[]}\n'),
+    ("bound dudeney --fn pow:2 --format records --jobs 1",
+     [("dudeney_cutoff", "pow:2", 10)],
+     '{"base":10,"bound":"dudeney","cutoff":0,"fn":"pow:2","method":"stub","witnesses":[]}\n'),
+    ("bound dudeney --fn pow:3 --format records --jobs 1",
+     [("dudeney_cutoff", "pow:3", 10)],
+     '{"base":10,"bound":"dudeney","cutoff":0,"fn":"pow:3","method":"stub","witnesses":[]}\n'),
+    ("bound dudeney --fn pow:4 --format records --jobs 1",
+     [("dudeney_cutoff", "pow:4", 10)],
+     '{"base":10,"bound":"dudeney","cutoff":0,"fn":"pow:4","method":"stub","witnesses":[]}\n'),
+    ("bound dudeney --fn pow:5 --format records --jobs 1",
+     [("dudeney_cutoff", "pow:5", 10)],
+     '{"base":10,"bound":"dudeney","cutoff":0,"fn":"pow:5","method":"stub","witnesses":[]}\n'),
+    ("bound powersum --fn pow:2 --format records --jobs 1",
+     [("powersum_bound", 2, 10)],
+     '{"base":10,"bound":"powersum","coarse":0,"fn":"pow:2","s_max":0}\n'),
+    ("bound powersum --fn pow:3 --format records --jobs 1",
+     [("powersum_bound", 3, 10)],
+     '{"base":10,"bound":"powersum","coarse":0,"fn":"pow:3","s_max":0}\n'),
+    ("bound powersum --fn pow:4 --format records --jobs 1",
+     [("powersum_bound", 4, 10)],
+     '{"base":10,"bound":"powersum","coarse":0,"fn":"pow:4","s_max":0}\n'),
+    ("bound powersum --fn pow:5 --format records --jobs 1",
+     [("powersum_bound", 5, 10)],
+     '{"base":10,"bound":"powersum","coarse":0,"fn":"pow:5","s_max":0}\n'),
+    ("search wells --fn factorial --format records --jobs 1",
+     [("run_search", "wells", (10, 1, "factorial", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search wells --fn selfpow --format records --jobs 1",
+     [("run_search", "wells", (10, 1, "selfpow", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search wells --fn subfactorial --format records --jobs 1",
+     [("run_search", "wells", (10, 1, "subfactorial", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search wells --fn pow:4 --format records --jobs 1",
+     [("run_search", "wells", (10, 1, "pow:4", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search wells-reverse --fn pow:5 --cap 100000 --format records --jobs 1",
+     [("run_search", "wells-reverse", (10, 1, "pow:5", 1, None, 100000, False, "absent", "absent"))],
+     ""),
+    ("search wells-reverse --fn pow:4 --cap 100000 --format records --jobs 1",
+     [("run_search", "wells-reverse", (10, 1, "pow:4", 1, None, 100000, False, "absent", "absent"))],
+     ""),
+    ("search dudeney --fn pow:3 --format records --jobs 1",
+     [("run_search", "dudeney", (10, 1, "pow:3", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search dudeney --fn pow:2 --format records --jobs 1",
+     [("run_search", "dudeney", (10, 1, "pow:2", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search dudeney --fn fib --cap 100 --format records --jobs 1",
+     [("run_search", "dudeney", (10, 1, "fib", 1, None, 100, False, "absent", "absent"))],
+     ""),
+    ("search dudeney --fn pow:3 --engine preimage --format records --jobs 1",
+     [("run_search", "dudeney", (10, 1, "pow:3", 1, "preimage", None, False, "absent", "absent"))],
+     ""),
+    ("search dudeney --fn pow:2 --engine preimage --format records --jobs 1",
+     [("run_search", "dudeney", (10, 1, "pow:2", 1, "preimage", None, False, "absent", "absent"))],
+     ""),
+    ("search powersum --fn pow:2 --format records --jobs 1",
+     [("run_search", "powersum", (10, 1, "pow:2", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search powersum --fn pow:3 --format records --jobs 1",
+     [("run_search", "powersum", (10, 1, "pow:3", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search powersum --fn pow:4 --format records --jobs 1",
+     [("run_search", "powersum", (10, 1, "pow:4", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search powersum --fn pow:2 --engine scan --format records --jobs 1",
+     [("run_search", "powersum", (10, 1, "pow:2", 1, "scan", None, False, "absent", "absent"))],
+     ""),
+    ("search powersum --fn pow:3 --engine scan --format records --jobs 1",
+     [("run_search", "powersum", (10, 1, "pow:3", 1, "scan", None, False, "absent", "absent"))],
+     ""),
+    ("search armstrong --base 3 --format records --jobs 1",
+     [("run_search", "armstrong", (3, 1, "absent", "absent", None, "absent", "absent", None, "absent"))],
+     ""),
+    ("search armstrong --base 4 --format records --jobs 1",
+     [("run_search", "armstrong", (4, 1, "absent", "absent", None, "absent", "absent", None, "absent"))],
+     ""),
+    ("search armstrong --max-order 4 --format records --jobs 1",
+     [("run_search", "armstrong", (10, 1, "absent", "absent", None, "absent", "absent", 4, "absent"))],
+     ""),
+    ("search reversal --digits 2 --format records --jobs 1",
+     [("run_search", "reversal", (10, 1, "absent", "absent", None, "absent", "absent", "absent", 2))],
+     ""),
+    ("search reversal --digits 3 --format records --jobs 1",
+     [("run_search", "reversal", (10, 1, "absent", "absent", None, "absent", "absent", "absent", 3))],
+     ""),
+    ("search reversal --digits 4 --format records --jobs 1",
+     [("run_search", "reversal", (10, 1, "absent", "absent", None, "absent", "absent", "absent", 4))],
+     ""),
+    ("search reversal --digits 5 --base 8 --format records --jobs 1",
+     [("run_search", "reversal", (8, 1, "absent", "absent", None, "absent", "absent", "absent", 5))],
+     ""),
+    ("search hardy --fn pow:3 --format records --jobs 1",
+     [("run_search", "hardy", (10, 1, "pow:3", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search hardy --fn pow:4 --format records --jobs 1",
+     [("run_search", "hardy", (10, 1, "pow:4", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search hardy --fn pow:5 --format records --jobs 1",
+     [("run_search", "hardy", (10, 1, "pow:5", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search hardy --fn expbase:3 --format records --jobs 1",
+     [("run_search", "hardy", (10, 1, "expbase:3", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search hardy --fn expbase:4 --format records --jobs 1",
+     [("run_search", "hardy", (10, 1, "expbase:4", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search hardy --fn subfactorial --format records --jobs 1",
+     [("run_search", "hardy", (10, 1, "subfactorial", 1, None, None, False, "absent", "absent"))],
+     ""),
+    ("search hardy --fn selfpow --engine multiset --format records --jobs 1",
+     [("run_search", "hardy", (10, 1, "selfpow", 1, "multiset", None, False, "absent", "absent"))],
+     ""),
+    ("search hardy --fn expbase:8 --engine multiset --format records --jobs 1",
+     [("run_search", "hardy", (10, 1, "expbase:8", 1, "multiset", None, False, "absent", "absent"))],
+     ""),
+    ("family piezas --fermat-index 4 --t 2 --format records",
+     [("piezas_numerals", 4, 2)],
+     '{"block_length":3,"family":"piezas","fermat_index":4,"t":2,"verified":true,"x":"1","y":"2"}\n'),
+    ("family vitalis -l 2000 --format records",
+     [("vitalis_generate", 2000)],
+     '{"family":"vitalis","repeat":2000,"value":"4","verified":true,"x":"1","y":"2","z":"3"}\n'),
+    ("corpus check --format records",
+     [("corpus_check",)],
+     ""),
+]
+
+
+@pytest.mark.parametrize("argv, calls, stdout", GOLDEN_PARSE, ids=[a for a, _, _ in GOLDEN_PARSE])
+def test_command_line_reaches_its_callee_with_frozen_arguments(monkeypatch, argv, calls, stdout):
+    assert callees(monkeypatch, argv.split()) == (calls, 0, stdout)
+
+
+# Other spellings of a command line parse to the same call: an attached or
+# "=" value, a unique prefix of a long flag, the last of repeated options.
+SPELLINGS = [
+    ("family vitalis -l50", "family vitalis -l 50"),
+    ("family vitalis -l=50", "family vitalis -l 50"),
+    ("family vitalis --rep 50", "family vitalis -l 50"),
+    ("search armstrong --max 4", "search armstrong --max-order 4"),
+    ("search hardy --fn=pow:3 --ba=8", "search hardy --fn pow:3 --base 8"),
+    ("search hardy --fn pow:4 --k 3 --fn pow:3 --k=2", "search hardy --fn pow:3 --k 2"),
+    ("search hardy --inc --zero 0 --fn selfpow", "search hardy --fn selfpow --include-zero --zero-pow-zero 0"),
+    ("bound hardy --fo records --fn pow:5", "bound hardy --fn pow:5 --format records"),
+]
+
+
+@pytest.mark.parametrize("spelling, canonical", SPELLINGS, ids=[s for s, _ in SPELLINGS])
+def test_other_spellings_parse_the_same(monkeypatch, spelling, canonical):
+    calls, code, out = callees(monkeypatch, spelling.split())
+    assert code == 0 and calls
+    assert (calls, code, out) == callees(monkeypatch, canonical.split())
+
+
+# Malformed command lines: each exits 2, prints nothing on stdout and ends
+# stderr with one error line.
+MALFORMED = [
+    "search hardy --fn pow:3 --bogus",  # unknown flag
+    "search hardy",  # missing --fn
+    "search hardy --fn pow:3 --base x",  # not an int
+    "search hardy --fn pow:3 --engine nope",  # not a choice
+    "search",  # no subcommand
+    "",  # no command
+    "search nope --fn pow:3",  # unknown subcommand
+    "search hardy --fn pow:3 --f records",  # ambiguous prefix of --fn and --format
+    "search hardy --fn pow:3 --cap -5",  # a value, refused by the search itself
+    "family vitalis -l",  # missing value
+    "family vitalis -l 2 --fermat-index 2",  # a flag of another subcommand
+    "search hardy --fn pow:3 --include-zero=1",  # a value given to a flag
+    "family piezas --fermat-index 5",  # choices are checked after int()
+    "corpus check extra",  # stray argument
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=repr)
+def test_malformed_command_line_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"(digitfix( \S+)*: )?error: .+", err.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv, usage, error",
+    [
+        ("search hardy --fn pow:3 --bogus", "digitfix search hardy [-h] [--base BASE] --fn FN ",
+         "digitfix search hardy: error: unrecognized arguments: --bogus"),
+        ("search", "digitfix search [-h] {hardy,armstrong,wells,wells-reverse,dudeney,powersum,reversal} ...",
+         "digitfix search: error: the following arguments are required: family"),
+        ("nope", "digitfix [-h] {search,bound,family,corpus} ...",
+         "digitfix: error: argument command: invalid choice: 'nope' "
+         "(choose from 'search', 'bound', 'family', 'corpus')"),
+        ("family vitalis -l x", "digitfix family vitalis [-h] --repeat REPEAT ",
+         "digitfix family vitalis: error: argument --repeat/-l: invalid int value: 'x'"),
+    ],
+)
+def test_usage_error_prints_the_failing_levels_usage(capsys, argv, usage, error):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    usage_line, error_line = err.splitlines()
+    assert usage_line.startswith("usage: " + usage)
+    assert error_line == error
+
+
+# every level of the command path
+HELP_PATHS = [
+    "", "search", "bound", "family", "corpus",
+    *(f"search {family}" for family in
+      ("hardy", "armstrong", "wells", "wells-reverse", "dudeney", "powersum", "reversal")),
+    *(f"bound {kind}" for kind in ("hardy", "wells", "dudeney", "powersum")),
+    "family piezas", "family vitalis", "corpus check",
+]
+
+
+@pytest.mark.parametrize("path", HELP_PATHS, ids=lambda path: path or "top")
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_subcommand_and_option(capsys, path, flag):
+    import digitfix.cli as cli
+
+    code, out, err = run(capsys, *path.split(), flag)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: {' '.join(('digitfix', *path.split()))} [-h]")
+    help_text, options, subcommands, _ = cli._level(tuple(path.split()))
+    assert help_text in out
+    # one row per subcommand and per option, with its flags, choices and help
+    rows = [line.strip() for line in out.splitlines()]
+    for name, text in (subcommands or {}).items():
+        assert any(row.startswith(name + " ") and row.endswith(text) for row in rows), name
+    for option in options:
+        flags = ", ".join(option.flags)
+        choices = "{" + ",".join(map(str, option.choices)) + "}" if option.choices else ""
+        assert any(
+            row.startswith(flags) and choices in row and option.help in row for row in rows
+        ), flags
+
+
 def test_reversal_text_summary(capsys):
     code, out, _ = run(capsys, "search", "reversal", "--digits", "6")
     assert code == 0
@@ -228,12 +622,36 @@ class TestDeterminism:
         assert out == ""
         assert err.count("\n") == 1 and "positive integer" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corpus", "check"],
+            ["family", "vitalis", "-l", "2"],
+            ["family", "piezas", "--fermat-index", "2", "--format", "records"],
+            ["bound", "wells", "--fn", "factorial"],
+            ["search", "reversal", "--digits", "4"],
+        ],
+    )
+    def test_bad_jobs_environment_exits_two_for_every_command(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("DIGITFIX_JOBS", "x")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: DIGITFIX_JOBS must be a positive integer, got 'x'\n"
+
+    @pytest.mark.parametrize("argv", [["corpus", "check"], ["family", "vitalis", "-l", "2"]])
+    def test_jobs_flag_belongs_to_search_and_bound_only(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--jobs", "2")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith("error: unrecognized arguments: --jobs 2")
+
 
 # Every search runs in one process, whatever --jobs says, and start-up is the
-# floor of every command: dataclasses (with inspect), fractions and decimal
-# load only for the commands that use them.
+# floor of every command.  No command loads argparse (with gettext and locale)
+# or a process pool; dataclasses (with inspect), fractions, decimal, json and
+# re (with enum) load only for the commands that use them.
 _HEAVY_MODULES = (
     "concurrent.futures", "multiprocessing", "dataclasses", "inspect", "fractions", "decimal",
+    "argparse", "gettext", "locale", "json", "re", "enum",
 )
 
 
@@ -251,25 +669,32 @@ def test_import_loads_no_process_pool():
         "        assert digitfix.cli.main(sys.argv[1:]) == 0\n"
         "print(sorted(m for m in heavy if m in sys.modules))"
     )
-    for argv, needed in (
-        ([], set()),
-        (["search", "powersum", "--fn", "pow:3", "--engine", "scan", "--jobs", "2"], set()),
-        (["bound", "hardy", "--fn", "pow:5"], set()),
-        (["search", "hardy", "--fn", "pow:3"], set()),
-        (["search", "hardy", "--fn", "poly:1,0,0,0", "--cap", "1000"], {"fractions"}),
-        (["family", "piezas", "--fermat-index", "4", "--format", "records"], {"decimal"}),
-        (["family", "piezas", "--fermat-index", "4"], {"decimal"}),
+    # (command line, modules it needs, modules those may load too)
+    for argv, needed, also in (
+        ([], set(), set()),
+        (["--help"], set(), set()),
+        (["search", "powersum", "--fn", "pow:3", "--engine", "scan", "--jobs", "2"], set(), set()),
+        (["search", "hardy", "--fn", "pow:3"], set(), set()),
+        (["search", "hardy", "--fn", "pow:3", "--format", "records"], set(), set()),
+        (["bound", "hardy", "--fn", "pow:5", "--format", "records"], set(), set()),
+        # the text form elides the numerals of the justification with re.sub
+        (["bound", "hardy", "--fn", "pow:5"], {"re"}, {"enum"}),
+        (["search", "hardy", "--fn", "poly:1,0,0,0", "--cap", "1000"], {"fractions"},
+         {"decimal", "re", "enum"}),
+        (["family", "piezas", "--fermat-index", "4", "--format", "records"], {"decimal"}, set()),
+        (["family", "piezas", "--fermat-index", "4"], {"decimal"}, set()),
+        # from Python 3.12 on, importlib.resources imports inspect
+        (["corpus", "check"], {"json", "decimal"}, {"re", "enum", "inspect"}),
     ):
+        # -S keeps out the site module, which may load some of these itself
         result = subprocess.run(
-            [sys.executable, "-c", probe, *argv],
+            [sys.executable, "-S", "-c", probe, *argv],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
         after_import, after_run = map(ast.literal_eval, result.stdout.splitlines())
         assert after_import == [], argv
-        # fractions itself imports decimal
-        allowed = needed | {"decimal"} if "fractions" in needed else needed
-        assert needed <= set(after_run) <= allowed, (argv, after_run)
+        assert needed <= set(after_run) <= needed | also, (argv, after_run)
 
 
 def test_no_module_imports_a_process_pool():
@@ -331,6 +756,19 @@ def int_limit_lifted():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# text with every kind of character json.dumps escapes: quotes, backslashes,
+# control characters, non-ASCII (also past U+FFFF) and lone surrogates
+_JSON_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f\xe9\ud800\udfff\U0001f600')
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
 
 
 class TestHugeIntegers:
@@ -395,6 +833,13 @@ class TestHugeIntegers:
             "b": [1, -2, True, False, None, "\u00e9\"\n", 2.5, [[]], {}, (3, "t")],
             "a": {"z": 0, "y": 10**600, "x": -(2**2200)},
         }
+        assert _record(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    @settings(max_examples=300)
+    @given(_JSON_VALUES)
+    def test_writer_matches_json_dumps_on_generated_values(self, value):
+        from digitfix.cli import _record
+
         assert _record(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
