@@ -12,11 +12,13 @@ JSON object per line with a stable schema, byte-identical across runs and
 ``--jobs`` values.  Exit codes: 0 success, 1 corpus mismatch, 2 usage or
 configuration error, 3 no finite search bound for the requested function.
 
-Every search subcommand goes through :func:`digitfix.search.run_search`,
-which picks the family's search and its default engine; the ceiling printed
-as ``bound_used`` (and in the text summary) is the one that search proved and
-returned with its hits.  This module parses arguments and renders hits; it
-derives no ceiling of its own on a search path.
+Every search subcommand is built from its entry in
+:data:`digitfix.search.FAMILY_TABLE` (its options and text lines) and goes
+through :func:`digitfix.search.run_search`, which picks the family's search
+and its default engine; the ceiling printed as ``bound_used`` (and in the
+text summary) is the one that search proved and returned with its hits.
+This module parses arguments and renders hits; it derives no ceiling of its
+own on a search path.
 
 The command line is read against one option table, ``_COMMANDS``.  For each
 ``command subcommand`` pair it lists the help line, the attributes the pair
@@ -52,7 +54,7 @@ from .corpus import corpus_check
 from .errors import ConfigurationError, UnsupportedFunctionError
 from .families import decimal_str, elide_numeral, piezas_numerals, vitalis_generate
 from .funcatalog import parse_spec
-from .search import run_search
+from .search import FAMILY_TABLE, run_search
 
 _EXIT_OK = 0
 _EXIT_CORPUS = 1
@@ -109,22 +111,6 @@ def _record(value) -> str:
     raise TypeError(f"a record cannot hold {value!r}")
 
 
-def _describe_hit(h) -> str:
-    if h.family in ("hardy", "armstrong"):
-        spec = parse_spec(h.fn)
-        terms = " + ".join(spec.term(v) for v in reversed(h.blocks.blocks))
-        return f"{h.value} = {terms}"
-    if h.family == "wells":
-        return f"{h.value}: F({h.value}) has {h.value} digit(s)"
-    if h.family == "wells-reverse":
-        return f"{h.value} = F({h.images[0]})"
-    if h.family == "dudeney":
-        return f"{h.value}: digit sum of F({h.value}) = {elide_numeral(h.images[0], 40)} is {h.value}"
-    if h.family == "powersum":
-        return f"{h.value} = {h.images[0]}^{parse_spec(h.fn).exponent}, its own digit sum raised"
-    return f"{h.value} = {h.multiplier} x {h.reversal}"
-
-
 # -- search subcommands --------------------------------------------------------
 
 
@@ -146,12 +132,10 @@ def _run_search(args) -> int:
                 )
             )
         return _EXIT_OK
+    family = FAMILY_TABLE[args.family]
     for h in hits:
-        print(_describe_hit(h))
-    if args.family == "reversal":
-        print(f"{len(hits)} hit(s) among {args.digits}-digit numbers")
-    else:
-        print(f"{len(hits)} hit(s), search ceiling {hits.ceiling}")
+        print(family.line(h))
+    print(family.summary.format(count=len(hits), ceiling=hits.ceiling, params=args))
     return _EXIT_OK
 
 
@@ -398,12 +382,6 @@ class _Option:
         return f"{self.help} (default: {self.default})"
 
 
-def _engine(*names: str) -> _Option:
-    return _Option(
-        ("--engine",), choices=names, help=f"search engine (the family's own: {names[0]})"
-    )
-
-
 _HELP = _Option(("-h", "--help"), None, help="show this help and exit")
 _BASE = _Option(("--base",), int, default=10, help="radix of the digits")
 _FN = _Option(("--fn",), required=True, help="function spec, e.g. pow:3, factorial")
@@ -416,51 +394,46 @@ _JOBS = _Option(
     "integer (default: DIGITFIX_JOBS or 1)",
 )
 _K = _Option(("--k",), int, default=1, help="digits per block")
-_CAP = _Option(("--cap",), int, help="search up to this ceiling instead of the derived one")
-_ZERO_FLAGS = (
-    _Option(("--include-zero",), bool, help="also test n = 0"),
-    _Option(
+
+# the option that sets each field of the search parameters but the engine,
+# whose choices are the family's engines
+_FIELD_OPTIONS = {
+    "base": _BASE,
+    "fn": _FN,
+    "k": _K,
+    "cap": _Option(("--cap",), int, help="search up to this ceiling instead of the derived one"),
+    "max_order": _Option(("--max-order",), int, help="largest digit count m"),
+    "digits": _Option(("--digits",), int, help="digits of n"),
+    "include_zero": _Option(("--include-zero",), bool, help="also test n = 0"),
+    "zero_pow_zero": _Option(
         ("--zero-pow-zero",), int, choices=(0, 1), default=1, help="the value of 0^0 in selfpow"
     ),
-)
+}
 _ELIDE = _Option(
     ("--elide",), int, default=1000, help="digit count above which numerals print elided"
 )
 
-# a family without --k or --engine searches width 1 with its own default engine
-_SEARCH = {"run": _run_search, "k": 1, "engine": None}
+
+def _search_command(family) -> tuple:
+    """The help, attribute defaults and options of ``search <family>``: an option per
+    field it reads; without --k or --engine it searches width 1 with its own engine."""
+    options = []
+    for field in family.fields:
+        option = _FIELD_OPTIONS.get(field)
+        if field == "engine":
+            help_text = f"search engine (the family's own: {family.engines[0]})"
+            option = _Option(("--engine",), choices=family.engines, help=help_text)
+        elif field in family.required and not option.required:
+            option = _Option(option.flags, option.kind, required=True, help=option.help)
+        options.append(option)
+    what = 1 + ("fn" in family.fields)  # --base and --fn come before --format and --jobs
+    defaults = {"run": _run_search, "k": 1, "engine": None}
+    return family.help, defaults, (*options[:what], _FORMAT, _JOBS, *options[what:])
+
 
 # (command, subcommand) -> (help, attribute defaults, options), in help order
 _COMMANDS = {
-    ("search", "hardy"): (
-        "n equal to the F-sum of its digit blocks", _SEARCH,
-        (_BASE, _FN, _FORMAT, _JOBS, _engine("scan", "multiset"), _K, _CAP, *_ZERO_FLAGS),
-    ),
-    ("search", "armstrong"): (
-        "m-digit n equal to the sum of m-th powers of digits", _SEARCH,
-        (_BASE, _FORMAT, _JOBS, _Option(("--max-order",), int, help="largest digit count m")),
-    ),
-    ("search", "wells"): (
-        "n equal to the digit count of F(n)", _SEARCH,
-        (_BASE, _FN, _FORMAT, _JOBS, _CAP, *_ZERO_FLAGS),
-    ),
-    ("search", "wells-reverse"): (
-        "n equal to F(digit count of n)", _SEARCH,
-        (_BASE, _FN, _FORMAT, _JOBS, _Option(("--cap",), int, required=True, help=_CAP.help),
-         *_ZERO_FLAGS),
-    ),
-    ("search", "dudeney"): (
-        "n equal to the digit sum of F(n)", _SEARCH,
-        (_BASE, _FN, _FORMAT, _JOBS, _engine("scan", "preimage"), _CAP, *_ZERO_FLAGS),
-    ),
-    ("search", "powersum"): (
-        "n equal to its digit sum raised to a power", _SEARCH,
-        (_BASE, _FN, _FORMAT, _JOBS, _engine("preimage", "scan"), _CAP, *_ZERO_FLAGS),
-    ),
-    ("search", "reversal"): (
-        "n an integral multiple of its digit reversal", _SEARCH,
-        (_BASE, _FORMAT, _JOBS, _Option(("--digits",), int, required=True, help="digits of n")),
-    ),
+    **{("search", name): _search_command(entry) for name, entry in FAMILY_TABLE.items()},
     ("bound", "hardy"): (
         "the block-sum ceiling of search hardy", {"run": _run_bound_hardy},
         (_BASE, _FN, _FORMAT, _JOBS, _K),

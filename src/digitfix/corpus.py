@@ -10,8 +10,7 @@ Entry schema (one JSON object per entry):
 
 ``id``          unique name
 ``kind``        one of search | pair | piezas | vitalis
-``family``      search kind only: hardy | armstrong | wells | wells-reverse |
-                dudeney | powersum | reversal
+``family``      search kind only: a key of ``search.FAMILY_TABLE``
 ``base, k, fn, engine, cap, max_order, digits, include_zero, zero_pow_zero``
                 search parameters (defaults: base 10, k 1, engine per family)
 ``expected``    sorted values; reversal: [value, multiplier] pairs; pair:
@@ -27,7 +26,7 @@ from ._record import Record, setfield
 from .errors import ConfigurationError
 from .families import piezas_numerals, verify_concat_square, vitalis_generate
 from .funcatalog import parse_spec
-from .search import FAMILIES, run_search
+from .search import FAMILY_TABLE, run_search
 
 __all__ = ["CorpusEntry", "CorpusReport", "EntryResult", "corpus_check", "load_corpus"]
 
@@ -128,37 +127,32 @@ def load_corpus() -> list[CorpusEntry]:
 
 def _validate(entry: CorpusEntry) -> None:
     if entry.kind == "search":
-        if entry.family not in FAMILIES:
+        family = FAMILY_TABLE.get(entry.family)
+        if family is None:
             raise ConfigurationError(
                 f"corpus entry {entry.id!r}: unknown family {entry.family!r}"
             )
-        if entry.family != "reversal":
-            if entry.fn is None and entry.family != "armstrong":
-                raise ConfigurationError(f"corpus entry {entry.id!r}: missing function spec")
-            if entry.fn is not None:
-                try:
-                    parse_spec(entry.fn)
-                except ConfigurationError as exc:
-                    raise ConfigurationError(f"corpus entry {entry.id!r}: {exc}") from exc
-        values = entry.expected
-        if entry.family == "reversal":
-            values = [v for v, _ in entry.expected]
+        for field in family.required:
+            if getattr(entry, field) is None:
+                raise ConfigurationError(f"corpus entry {entry.id!r}: missing {field}")
+        if entry.fn is not None:
+            try:
+                parse_spec(entry.fn)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"corpus entry {entry.id!r}: {exc}") from exc
+        values = [v for v, _ in entry.expected] if family.pairs else entry.expected
         if list(values) != sorted(set(values)):
             raise ConfigurationError(
                 f"corpus entry {entry.id!r}: expected values must be strictly increasing"
             )
 
 
-def _run_search(entry: CorpusEntry) -> object:
-    hits = run_search(entry.family, entry)
-    if entry.family == "reversal":
-        return [[h.value, h.multiplier] for h in hits]
-    return [h.value for h in hits]
-
-
 def _run_entry(entry: CorpusEntry) -> object:
     if entry.kind == "search":
-        return _run_search(entry)
+        hits = run_search(entry.family, entry)
+        if FAMILY_TABLE[entry.family].pairs:
+            return [[h.value, h.multiplier] for h in hits]
+        return [h.value for h in hits]
     if entry.kind == "pair":
         x, y, length = entry.expected["x"], entry.expected["y"], entry.expected["block_length"]
         return verify_concat_square(x, y, length) == entry.expected["verifies"]

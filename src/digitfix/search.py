@@ -25,13 +25,6 @@ The scan sizes its chunk table to its ceiling n_max: the span is the first
 power of the radix at or above sqrt(n_max), up to 2**17, so the table build
 and the per-span bisections both cost about sqrt(n_max).
 
-The power-sum scan (n = digit_sum(n)**p) walks the roots instead of the
-values: every fixed point is m**p for its own digit sum m <= s_max, so the
-scan forms each power below its ceiling and reads its digit sum from a
-table of the digit sums below one span (the largest power of the radix up
-to 2**17), one span digit at a time.  That costs O(s_max * depth) look-ups
-for any p: base 10, p = 9 checks its 81 roots at once.
-
 Every search runs in one process: a pool's workers would each build the
 same table again.
 
@@ -52,9 +45,13 @@ about 4 * 10**20).
 Every hit re-verifies its defining equation from raw digits when the hit
 record is constructed; nothing is trusted from search state.  Each search
 returns its hits in ascending order as :class:`Hits`, a list that also
-carries the ceiling the search proved, and :func:`run_search` runs any
-family from the parameters the command line and a corpus entry share, so
-neither derives a ceiling or picks an engine of its own.
+carries the ceiling the search proved.
+
+``FAMILY_TABLE`` holds one entry per family (see :func:`_family`), and
+:func:`run_search` runs any family from its entry and the parameters the
+command line and a corpus entry share.  The command line builds its search
+subcommands and text lines from the same entries, and the corpus its
+checks, so neither derives a ceiling or picks an engine of its own.
 """
 
 from __future__ import annotations
@@ -63,15 +60,18 @@ from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache, lru_cache
 from itertools import accumulate
+from types import SimpleNamespace
 
 from ._record import Record, setfield
 from .bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
 from .digitops import BlockVector, digit_count, digit_sum, group_blocks, reverse_digits
 from .errors import ConfigurationError
+from .families import elide_numeral
 from .funcatalog import FunctionSpec, evaluate, parse_spec
 
 __all__ = [
     "FAMILIES",
+    "FAMILY_TABLE",
     "Hits",
     "ReversalHit",
     "SearchConfig",
@@ -94,7 +94,6 @@ __all__ = [
     "wells_reverse_hit",
 ]
 
-FAMILIES = ("hardy", "armstrong", "wells", "wells-reverse", "dudeney", "powersum", "reversal")
 _TABLE_SPAN = 1 << 17  # max chunk-table length per (spec, base, width)
 _REVERSAL_HIT_BUDGET = 100_000  # most hits one reversal search lists, about 2 s at 50 digits
 
@@ -600,45 +599,6 @@ def _zero_image(spec: FunctionSpec) -> int | None:
         return None
 
 
-@lru_cache(maxsize=3)
-def _digitsum_table(base: int) -> tuple[int, list[int]]:
-    """Digit sums of every value below one table span.
-
-    Unlike the block F-sum table, no canonical correction is needed: padded
-    leading zeros contribute nothing to a digit sum.
-    """
-    table = list(range(base))
-    span = base
-    while span * base <= _TABLE_SPAN:
-        table = [dh + t for dh in range(base) for t in table]
-        span *= base
-    return span, table
-
-
-def _powersum_scan_range(lo: int, hi: int, p: int, base: int) -> list[int]:
-    """Values n in [lo, hi), lo >= 1, with digit_sum(n)**p == n, ascending.
-
-    Such an n is m**p for its digit sum m, so only the powers m**p in
-    [lo, hi) are checked.  The digit sum of n is read from the table one
-    span digit at a time: table[r] for r = n mod span, plus the same for
-    the quotient, until it is 0.
-    """
-    span, table = _digitsum_table(base)
-    hits = []
-    m = 1
-    while (n := m**p) < hi:
-        if n >= lo:
-            q, r = divmod(n, span)
-            ds = table[r]
-            while q:
-                q, r = divmod(q, span)
-                ds += table[r]
-            if ds == m:
-                hits.append(n)
-        m += 1
-    return hits
-
-
 def search_powersum(
     p: int,
     base: int,
@@ -646,16 +606,15 @@ def search_powersum(
     cap: int | None = None,
     include_zero: bool = False,
 ) -> Hits:
-    """All n with digit_sum(n)**p == n.
+    """All n with digit_sum(n)**p == n, up to s_max**p (or cap).
 
-    The preimage engine enumerates candidate digit sums s and keeps s**p when
-    its digit sum comes back to s.  The scan engine covers every value up
-    to s_max**p (or cap) by checking the powers m**p in that range against
-    a table of digit sums (:func:`_powersum_scan_range`): every fixed point
-    is s**p for an admissible s, so nothing lies beyond that, and unlike the
-    coarse b**(p*p) ceiling the bound follows directly from the digit-count
-    necessary condition even for tiny bases.  Both engines return identical
-    hit sets.
+    Every fixed point is m**p for its own digit sum m, and m is at most the
+    largest admissible digit sum s_max from :func:`powersum_bound`, so the
+    search walks the roots m <= s_max and keeps m**p when its digit sum comes
+    back to m.  Unlike the coarse b**(p*p) ceiling, s_max follows directly
+    from the digit-count necessary condition even for tiny bases.  Both
+    engine names run this walk; ``scan`` is kept for the command lines that
+    name it.
     """
     if engine not in ("preimage", "scan"):
         raise ConfigurationError(f"unknown power-sum engine {engine!r}")
@@ -666,15 +625,12 @@ def search_powersum(
     values = []
     if include_zero:
         values.append(0)  # digit_sum(0)**p == 0 under the canonical zero digit
-    if engine == "preimage":
-        for s in range(1, s_max + 1):
-            n = s**p
-            if n > ceiling:
-                break
-            if digit_sum(n, base) == s:
-                values.append(n)
-    else:
-        values.extend(_powersum_scan_range(1, ceiling + 1, p, base))
+    for m in range(1, s_max + 1):
+        n = m**p
+        if n > ceiling:
+            break
+        if digit_sum(n, base) == m:
+            values.append(n)
     return Hits([powersum_hit(v, base, p) for v in values], ceiling)
 
 
@@ -797,37 +753,110 @@ def search_reversal(base: int, num_digits: int) -> Hits:
     return Hits([reversal_hit(n, base) for n in values], base**num_digits - 1)
 
 
-# -- dispatch --------------------------------------------------------------------
+# -- the family table ------------------------------------------------------------
+
+
+# the fields of the search parameters, in option order
+_FIELDS = (
+    "base", "fn", "engine", "k", "cap", "max_order", "digits", "include_zero", "zero_pow_zero"
+)
+
+
+def _family(
+    help, search, arguments, line, *, config=False, engines=(), required=("fn",),
+    summary="{count} hit(s), search ceiling {ceiling}", pairs=False,
+) -> SimpleNamespace:
+    """One entry of :data:`FAMILY_TABLE`.
+
+    ``search`` names this module's ``search_*`` function, looked up when it
+    runs, and ``arguments`` its positional arguments: fields of the search
+    parameters, ``spec`` (``fn`` read under ``zero_pow_zero``) or ``p`` (the
+    exponent of a pure-power ``fn``), made into a :class:`SearchConfig` with
+    ``config``.  ``fields`` are the fields they read, in option order, and
+    ``required`` those the family cannot run without.  ``engines`` are listed
+    default first.  ``line`` prints one hit as text and ``summary`` the last
+    text line; with ``pairs``, a corpus entry lists hits as [value, multiplier].
+    """
+    reads = {"fn", "zero_pow_zero"} if "spec" in arguments or "p" in arguments else set()
+    fields = tuple(field for field in _FIELDS if field in arguments or field in reads)
+    return SimpleNamespace(
+        help=help, search=search, arguments=arguments, fields=fields, line=line, config=config,
+        engines=engines, required=required, summary=summary, pairs=pairs,
+    )
+
+
+def _sum_line(h: SearchHit) -> str:
+    spec = parse_spec(h.fn)
+    terms = " + ".join(spec.term(v) for v in reversed(h.blocks.blocks))
+    return f"{h.value} = {terms}"
+
+
+FAMILY_TABLE = {
+    "hardy": _family(
+        "n equal to the F-sum of its digit blocks", "search_hardy",
+        ("spec", "base", "k", "engine", "cap", "include_zero"), _sum_line,
+        config=True, engines=("scan", "multiset"),
+    ),
+    "armstrong": _family(
+        "m-digit n equal to the sum of m-th powers of digits", "search_armstrong",
+        ("base", "max_order"), _sum_line, required=(),
+    ),
+    "wells": _family(
+        "n equal to the digit count of F(n)", "search_wells",
+        ("spec", "base", "cap", "include_zero"),
+        lambda h: f"{h.value}: F({h.value}) has {h.value} digit(s)",
+    ),
+    "wells-reverse": _family(
+        "n equal to F(digit count of n)", "search_wells_reverse",
+        ("spec", "base", "cap", "include_zero"),
+        lambda h: f"{h.value} = F({h.images[0]})", required=("fn", "cap"),
+    ),
+    "dudeney": _family(
+        "n equal to the digit sum of F(n)", "search_dudeney",
+        ("spec", "base", "cap", "engine", "include_zero"),
+        lambda h: f"{h.value}: digit sum of F({h.value}) = {elide_numeral(h.images[0], 40)} "
+        f"is {h.value}", engines=("scan", "preimage"),
+    ),
+    "powersum": _family(
+        "n equal to its digit sum raised to a power", "search_powersum",
+        ("p", "base", "engine", "cap", "include_zero"),
+        lambda h: f"{h.value} = {h.images[0]}^{parse_spec(h.fn).exponent}, "
+        "its own digit sum raised", engines=("preimage", "scan"),
+    ),
+    "reversal": _family(
+        "n an integral multiple of its digit reversal", "search_reversal",
+        ("base", "digits"), lambda h: f"{h.value} = {h.multiplier} x {h.reversal}",
+        required=("digits",), summary="{count} hit(s) among {params.digits}-digit numbers",
+        pairs=True,
+    ),
+}
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 def run_search(family: str, params) -> Hits:
     """Run one family's search with the parameters read from ``params``.
 
-    ``params`` is any object with the fields the command line and a corpus
-    entry share: ``base``, ``k``, ``fn``, ``zero_pow_zero``, ``engine``,
-    ``cap``, ``include_zero``, ``max_order`` and ``digits``; each family reads
-    only its own.  An ``engine`` of None leaves the search's own default.
-    The searches are looked up by name when called, so a wrapper installed
-    on this module's ``search_*`` attributes sees every run.
+    ``params``, such as the parsed command line or a corpus entry, has
+    ``engine``, ``k`` and the fields the family's entry lists.  An ``engine``
+    of None is the family's first engine.  An engine the family lacks, or a
+    block width ``k`` other than 1 for a family without blocks, is refused.
     """
-    if family not in FAMILIES:
+    entry = FAMILY_TABLE.get(family)
+    if entry is None:
         raise ConfigurationError(f"unknown search family {family!r}")
-    if family == "armstrong":
-        return search_armstrong(params.base, params.max_order)
-    if family == "reversal":
-        return search_reversal(params.base, params.digits)
-    spec = parse_spec(params.fn).with_zero_self_power(params.zero_pow_zero)
-    base, cap, include_zero = params.base, params.cap, params.include_zero
-    engine = {} if params.engine is None else {"engine": params.engine}
-    if family == "hardy":
-        cfg = SearchConfig(spec, base, params.k, cap=cap, include_zero=include_zero, **engine)
-        return search_hardy(cfg)
-    if family == "wells":
-        return search_wells(spec, base, cap, include_zero)
-    if family == "wells-reverse":
-        return search_wells_reverse(spec, base, cap, include_zero)
-    if family == "dudeney":
-        return search_dudeney(spec, base, cap, include_zero=include_zero, **engine)
-    if spec.kind != "power":
-        raise ConfigurationError("power-sum search takes --fn pow:P for the exponent")
-    return search_powersum(spec.exponent, base, cap=cap, include_zero=include_zero, **engine)
+    if params.engine is not None and params.engine not in entry.engines:
+        raise ConfigurationError(f"the {family} search has no engine {params.engine!r}")
+    if params.k != 1 and "k" not in entry.fields:
+        raise ConfigurationError(f"the {family} search reads no block width, got k = {params.k}")
+    values = {field: getattr(params, field) for field in entry.fields}
+    if entry.engines:
+        values["engine"] = params.engine or entry.engines[0]
+    if "fn" in values:
+        spec = values["spec"] = parse_spec(params.fn).with_zero_self_power(params.zero_pow_zero)
+        values["p"] = spec.exponent
+        if "p" in entry.arguments and spec.kind != "power":
+            raise ConfigurationError("power-sum search takes --fn pow:P for the exponent")
+    arguments = [values[name] for name in entry.arguments]
+    if entry.config:
+        arguments = [SearchConfig(*arguments)]
+    return globals()[entry.search](*arguments)

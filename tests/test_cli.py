@@ -571,6 +571,38 @@ def test_help_lists_every_subcommand_and_option(capsys, path, flag):
         ), flags
 
 
+# Per search family: sha256 of its `-h` stdout and of the usage line it
+# prints on an unknown flag, frozen from the hand-written option lists.
+GOLDEN_HELP = {
+    "hardy": ("d990b053f83a125426df9550e87739d97a0992d56196a118e501cb9aa352a0cf",
+              "7333fe91171926ae36f5ea52cbf0481d6ac1a871b1fd6e1764fb0604cb39f27b"),
+    "armstrong": ("8d2bbdd76294b92876aaa8beb81920a6bb6cb6aa08e634fcc75fffc00866d534",
+                  "17890817c0b475bfd4119bf43f7254f3499ccd94fe207edea021b3b546306ec5"),
+    "wells": ("c9fd05cbcf7fb9a1ff51d3c039c9f513bc4f07e6f88918734459a84c2013a4ba",
+              "a9d5b486e95c112cea5c32fe25e8759e6b7d79af6ee67a3e75bd975fae34d620"),
+    "wells-reverse": ("40b3a52e604b8f9cf998b2b9f4739b5851cf8b30f390850b4f71f9aa8aa8b37b",
+                      "4c4d257c6447b3fd51a9c41f214fa130544f14d87b606b00493233773be7103e"),
+    "dudeney": ("2c943dca9278ac4a5c976314f3db138c75d3e1c6885291968fc3b13618b480bd",
+                "1221067a02ed85052ca9ef5a4a9cdf6eef0febddabac4777aa562209912c57d8"),
+    "powersum": ("e40b0c462c7dd2a3fa13618bbdc2dc1a18c9f616944576746c706c966007e1d4",
+                 "3541d83bfeb393cd60d04359a1ce7916c910a571dbfb8b61f39e87d0b542649e"),
+    "reversal": ("97c737c048caf59de3ce796015faeab57e98552d0e845943f0e071a293ba8e30",
+                 "67163bd38e8116e13762e140c841e32bf0bb3717cfa439b55cea09d5a2a707e9"),
+}
+
+
+@pytest.mark.parametrize("family", GOLDEN_HELP)
+def test_search_help_and_usage_are_frozen(capsys, family):
+    help_digest, usage_digest = GOLDEN_HELP[family]
+    code, out, err = run(capsys, "search", family, "-h")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == help_digest
+    code, out, err = run(capsys, "search", family, "--bogus")
+    assert (code, out) == (2, "")
+    usage = err.splitlines()[0]
+    assert hashlib.sha256(usage.encode()).hexdigest() == usage_digest
+
+
 def test_reversal_text_summary(capsys):
     code, out, _ = run(capsys, "search", "reversal", "--digits", "6")
     assert code == 0
@@ -965,3 +997,17 @@ class TestCorpusCommand:
         code, _, err = run(capsys, "corpus", "check")
         assert code == 2
         assert "bad-entry" in err
+
+    @pytest.mark.parametrize("field", [{"engine": "scan"}, {"k": 3}], ids=["engine", "k"])
+    def test_corpus_entry_with_a_setting_its_family_never_reads_exits_two(
+        self, capsys, monkeypatch, field
+    ):
+        import digitfix.corpus as corpus_mod
+
+        entry = next(e for e in corpus_mod.load_corpus() if e.id == "armstrong-b3")
+        monkeypatch.setattr(corpus_mod, "load_corpus", lambda: [entry])
+        assert run(capsys, "corpus", "check")[0] == 0
+        monkeypatch.setattr(corpus_mod, "load_corpus", lambda: [entry.replace(**field)])
+        code, out, err = run(capsys, "corpus", "check")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the armstrong search")

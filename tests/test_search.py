@@ -1,7 +1,8 @@
+import inspect
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import digitfix.search
@@ -11,12 +12,12 @@ from digitfix.errors import ConfigurationError, UnsupportedFunctionError
 from digitfix.funcatalog import FunctionSpec, evaluate, parse_spec
 from digitfix.search import (
     _TABLE_SPAN,
+    FAMILIES,
+    FAMILY_TABLE,
     SearchConfig,
     _count_paths,
-    _digitsum_table,
     _matches,
     _multiset_length,
-    _powersum_scan_range,
     _reversal_automaton,
     _scan_range,
     _table_depth,
@@ -43,11 +44,16 @@ from conftest import (
     CATALOG_SPEC_TEXTS,
     oracle_block_fsum,
     oracle_chunk_hits,
+    oracle_digit_sum,
     oracle_hardy,
     oracle_multiset_length,
     oracle_powersum,
     oracle_reversal,
 )
+
+
+# the largest cap the per-value power-sum oracle is run up to
+ORACLE_REACH = 300_000
 
 
 def values(hits):
@@ -411,11 +417,16 @@ class TestSearchDudeney:
             search_dudeney(parse_spec("fib"), 10)
 
     def test_preimage_engine_matches_scan(self):
-        for fn in ("pow:2", "pow:3", "pow:4"):
-            spec = parse_spec(fn)
-            assert values(search_dudeney(spec, 10, engine="preimage")) == values(
-                search_dudeney(spec, 10, engine="scan")
-            )
+        # for a pure power the digit-sum cutoff is s_max + 1, so both engines
+        # visit the same n; the preimage engine reports s_max, the scan the cutoff
+        for p in range(2, 9):
+            spec = parse_spec(f"pow:{p}")
+            for base in range(2, 37):
+                s_max = powersum_bound(p, base).s_max
+                assert dudeney_cutoff(spec, base).cutoff == s_max + 1, (p, base)
+                pre = search_dudeney(spec, base, engine="preimage")
+                scan = search_dudeney(spec, base, engine="scan")
+                assert pre == scan and pre.ceiling == scan.ceiling - 1 == s_max, (p, base)
 
     def test_preimage_needs_power_kind(self):
         with pytest.raises(ConfigurationError):
@@ -448,38 +459,34 @@ class TestSearchPowersum:
         root=st.integers(1, 60),
         at_hit=st.booleans(),
         edge=st.sampled_from([-1, 0, 1]),
-        chunks=st.integers(0, 2),
-        tail=st.sampled_from([-1, 0, 1, 7]),
     )
-    def test_scan_range_matches_per_value_oracle(self, base, p, root, at_hit, edge, chunks, tail):
-        # each range is placed around a power: a fixed point when at_hit, else
-        # root**p.  It starts at an edge of that power's table span (q*span - 1,
-        # q*span, q*span + 1) and ends up to two spans later at a span edge.
-        span = _digitsum_table(base)[0]
+    def test_matches_per_value_oracle(self, base, p, root, at_hit, edge):
+        # the cap sits at a power, one below or one above it: at a fixed point
+        # when at_hit, else at root**p; the oracle checks every value up to it
         if at_hit:
-            hits = values(search_powersum(p, base))
+            hits = [v for v in values(search_powersum(p, base)) if v <= ORACLE_REACH]
             n = hits[root % len(hits)]
         else:
             n = root**p
-        q = n // span
-        lo = max(1, q * span + edge)
-        hi = (q + 1 + chunks) * span + tail
-        got = _powersum_scan_range(lo, hi, p, base)
-        assert got == oracle_powersum(lo, hi, p, base)
-        if at_hit and lo <= n < hi:
-            assert n in got
+            assume(n <= ORACLE_REACH)
+        cap = max(1, n + edge)
+        want = oracle_powersum(1, cap + 1, p, base)
+        for engine in ("preimage", "scan"):
+            got = search_powersum(p, base, engine=engine, cap=cap)
+            assert values(got) == want, engine
+            assert got.ceiling == min(powersum_bound(p, base).s_max ** p, cap)
 
     @pytest.mark.parametrize(
         "base, p, n",
-        [(27, 5, 18**5), (33, 5, 108175616801)],  # first and last value of a span
+        # n is 0 and -1 modulo base**3: a hit on the edge of a block of three digits
+        [(27, 5, 18**5), (33, 5, 108175616801)],
     )
-    def test_scan_range_finds_hits_on_span_edges(self, base, p, n):
-        span = _digitsum_table(base)[0]
-        assert n % span in (0, span - 1)
-        assert _powersum_scan_range(n, n + 1, p, base) == [n]
-        assert _powersum_scan_range(n - span, n + span, p, base) == [n]
-        assert _powersum_scan_range(n - 1, n, p, base) == []
-        assert _powersum_scan_range(n + 1, n + 2, p, base) == []
+    def test_cap_at_a_hit_on_a_block_edge(self, base, p, n):
+        assert n % base**3 in (0, base**3 - 1)
+        assert oracle_digit_sum(n, base) ** p == n
+        for engine in ("preimage", "scan"):
+            below = values(search_powersum(p, base, engine=engine, cap=n - 1))
+            assert values(search_powersum(p, base, engine=engine, cap=n)) == below + [n]
 
     def test_fifth_powers(self):
         fifth = [1, 17210368, 52521875, 60466176, 205962976]
@@ -709,3 +716,31 @@ class TestRunSearch:
         entry = CorpusEntry(id="e", kind="search", expected=[], fn="factorial")
         with pytest.raises(ConfigurationError, match="pow:P"):
             run_search("powersum", entry)
+
+    @pytest.mark.parametrize(
+        "family, engine",
+        [("wells", "bogus"), ("wells", "scan"), ("wells-reverse", "scan"), ("armstrong", "scan"),
+         ("armstrong", "multiset"), ("reversal", "scan"), ("hardy", "preimage"),
+         ("dudeney", "multiset"), ("powersum", "multiset")],
+    )
+    def test_refuses_an_engine_the_family_lacks(self, family, engine):
+        entry = CorpusEntry(
+            id="e", kind="search", expected=[], fn="pow:3", cap=10, digits=2, engine=engine
+        )
+        with pytest.raises(ConfigurationError, match=f"no engine '{engine}'"):
+            run_search(family, entry)
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "hardy"])
+    def test_refuses_a_block_width_the_family_never_reads(self, family):
+        entry = CorpusEntry(id="e", kind="search", expected=[], fn="pow:3", cap=10, digits=2, k=3)
+        with pytest.raises(ConfigurationError, match="reads no block width, got k = 3"):
+            run_search(family, entry)
+
+    def test_first_engine_is_the_searchs_own_default(self):
+        # run_search passes the first engine where the command line gives none
+        defaults = {
+            "hardy": inspect.signature(SearchConfig).parameters["engine"].default,
+            "dudeney": inspect.signature(search_dudeney).parameters["engine"].default,
+            "powersum": inspect.signature(search_powersum).parameters["engine"].default,
+        }
+        assert {f: e.engines[0] for f, e in FAMILY_TABLE.items() if e.engines} == defaults
