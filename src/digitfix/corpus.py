@@ -166,11 +166,14 @@ def _run_entry(entry: CorpusEntry) -> object:
         except RuntimeError:
             return False
         return True
-    raise ConfigurationError(f"corpus entry {entry.id!r}: unknown kind {entry.kind!r}")
+    raise ConfigurationError(f"unknown kind {entry.kind!r}")
 
 
 def check_entry(entry: CorpusEntry) -> EntryResult:
-    actual = _run_entry(entry)
+    try:
+        actual = _run_entry(entry)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"corpus entry {entry.id!r}: {exc}") from exc
     if entry.kind == "search":
         matches = list(actual) == list(entry.expected)
     else:

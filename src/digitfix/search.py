@@ -16,10 +16,14 @@ Two interchangeable engines back the block-summation search:
   still reach misses the m-digit window (bounded by prefix minima and
   maxima of F, which need not be monotone), or when the leading digits
   shared by that whole interval need more copies of a digit than the
-  branch can still give.  This is the method Winter used in 1985 to list
-  all 88 base-10 narcissistic numbers (OEIS A005188).  In base 10 it
-  visits a small fraction of the C(m+b-1, b-1) multisets of each length.
-  The Armstrong search shares it.
+  branch can still give.  A child's interval lies inside its parent's, so
+  each node carries the length and digit histogram of its shared prefix
+  and a child only reads the digits after it; the same prefix bounds the
+  count of the next digit d to pre[d] .. r - (prefix digits below d).
+  Children are tested before they are pushed.  This is the method Winter
+  used in 1985 to list all 88 base-10 narcissistic numbers (OEIS A005188).
+  In base 10 it visits a small fraction of the C(m+b-1, b-1) multisets of
+  each length.  The Armstrong search shares it.
 
 The scan sizes its chunk table to its ceiling n_max: the span is the first
 power of the radix at or above sqrt(n_max), up to 2**17, so the table build
@@ -63,9 +67,15 @@ from itertools import accumulate
 from types import SimpleNamespace
 
 from ._record import Record, setfield
-from .bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
+from .bounds import (
+    _digit_length_threshold,
+    dudeney_cutoff,
+    hardy_bound,
+    powersum_bound,
+    wells_cutoff,
+)
 from .digitops import BlockVector, digit_count, digit_sum, group_blocks, reverse_digits
-from .errors import ConfigurationError
+from .errors import ConfigurationError, UnsupportedFunctionError
 from .families import elide_numeral
 from .funcatalog import FunctionSpec, evaluate, parse_spec
 
@@ -374,10 +384,14 @@ def _scan_range(
 def _multiset_length(f_vals: list[int], base: int, m: int, cap: int | None) -> list[int]:
     """Values t of m digits (t <= cap) equal to the F-sum of their own digits.
 
-    The pruned digit-count search of the module docstring: ``s`` is the
-    F-sum of the digits fixed so far and ``r`` the slots left for the free
-    ones.  Length 1 also tries the multiset (0,), whose sum F(0) is a hit
-    when it is 0.  Hits come in no particular order.
+    The pruned digit-count search of the module docstring.  A node fixes the
+    count of digit d, with the counts of the digits above d in ``counts``;
+    ``s`` is the F-sum of the digits fixed so far, ``rest`` the slots left
+    for the digits below d, ``k`` the number of leading digits that every
+    sum the node can reach shares, ``pre`` the histogram of those k digits
+    and ``free`` the slots below d that the prefix does not claim.  Length 1
+    also tries the multiset (0,), whose sum F(0) is a hit when it is 0.
+    Hits come in no particular order.
     """
     lo = base ** (m - 1) if m > 1 else 0
     hi = base**m - 1
@@ -390,61 +404,54 @@ def _multiset_length(f_vals: list[int], base: int, m: int, cap: int | None) -> l
     f_min = list(accumulate(f_vals, min))
     f_max = list(accumulate(f_vals, max))
     powers = [base**k for k in range(m - 1, -1, -1)]
-    counts = [0] * base
+    counts = [0] * (base + 1)  # counts[base] belongs to the root, which fixes no digit
     hits: list[int] = []
-
-    def leading_digits_fit(d: int, r: int, low: int, high: int) -> bool:
-        # every t in [low, high] starts with the digits low and high share;
-        # those above d must fit the fixed counts, the rest the r free slots
-        low, high = max(low, lo), min(high, hi)
-        used: dict[int, int] = {}
-        for p in powers:
-            head = low // p
-            if head != high // p:
-                break
-            e = head % base
-            if e <= d:
-                r -= 1
-                if r < 0:
-                    return False
-            else:
-                used[e] = used.get(e, 0) + 1
-                if used[e] > counts[e]:
-                    return False
-        return True
-
     # a stack instead of recursion: the search is one level deep per digit,
-    # and bases above the recursion limit are valid input
-    stack: list[tuple[int, int, int, int, int, int]] = []
-
-    def push_choices(d: int, r: int, s: int) -> None:
-        # digits above d are fixed; push each count c of digit d whose reachable
-        # sums, with r - c slots left for the digits below d, meet the window
-        f_d, below_min, below_max = f_vals[d], f_min[d - 1], f_max[d - 1]
-        for c in range(r + 1):
-            s_c, rest = s + c * f_d, r - c
-            low, high = s_c + rest * below_min, s_c + rest * below_max
-            if low <= hi and high >= lo:
-                stack.append((d, c, rest, s_c, low, high))
-
-    push_choices(base - 1, m, 0)
+    # and bases above the recursion limit are valid input.  The root stands
+    # for a digit above base - 1 and fixes nothing.
+    stack = [(base, 0, m, m, 0, 0, [0] * base)]
     while stack:
-        d, c, rest, s, low, high = stack.pop()
+        d, c, rest, free, s, k, pre = stack.pop()
         counts[d] = c  # siblings pop before anything above d changes
-        if d == 1:
-            # leaf: the zeros take the rest, and t must have exactly these counts
-            counts[0] = rest
-            t = low
-            seen = [0] * base
-            while True:
-                t, q = divmod(t, base)
-                seen[q] += 1
-                if not t:
+        d -= 1
+        f_d, below_min, below_max = f_vals[d], f_min[d - 1], f_max[d - 1]
+        # a child's sums lie inside this node's, so they share its prefix:
+        # digit d needs at least pre[d] copies, and the prefix digits below d
+        # keep their slots
+        for c in range(pre[d], pre[d] + free + 1):
+            s_c, r = s + c * f_d, rest - c
+            low, high = s_c + r * below_min, s_c + r * below_max
+            if low > hi or high < lo:
+                continue
+            if low < lo:
+                low = lo
+            if high > hi:
+                high = hi
+            # resume the prefix walk where this node's ended; each new digit
+            # e >= d takes one of the copies fixed in counts, a smaller one a
+            # free slot
+            counts[d] = c
+            j, f, p = k, free - c + pre[d], pre
+            while j < m:
+                head = low // powers[j]
+                if head != high // powers[j]:
                     break
-            if seen == counts:
+                e = head % base
+                if p is pre:
+                    p = pre[:]
+                p[e] += 1
+                if p[e] > counts[e] if e >= d else (f := f - 1) < 0:
+                    j = -1
+                    break
+                j += 1
+            if j < 0:
+                continue
+            if d == 1:
+                # leaf: the zeros take the rest, so low == high, and the walk
+                # above matched all m of its digits against these counts
                 hits.append(low)
-        elif leading_digits_fit(d - 1, rest, low, high):
-            push_choices(d - 1, rest, s)
+            else:
+                stack.append((d, c, r, f, s_c, j, p))
     return hits
 
 
@@ -567,7 +574,8 @@ def search_dudeney(
 
     The ``preimage`` engine is the power-kind shortcut: candidates are capped
     by the largest admissible digit sum from :func:`powersum_bound`, which for
-    a pure power coincides with the digit-sum cutoff.
+    a pure power coincides with the digit-sum cutoff.  A capped scan of a
+    polynomial F stops at the cutoff too, but reports the cap as its ceiling.
     """
     if engine not in ("scan", "preimage"):
         raise ConfigurationError(f"unknown digit-sum engine {engine!r}")
@@ -581,6 +589,13 @@ def search_dudeney(
         n_hi = min(s_max, ceiling) + 1
     elif cap is not None:
         ceiling, n_hi = cap, cap + 1
+        # no n at or above the cutoff is a hit; deriving it scans F below the
+        # digit-length threshold, so a cap below that walks less without it
+        try:
+            if cap >= _digit_length_threshold(spec, base):
+                n_hi = min(n_hi, dudeney_cutoff(spec, base).cutoff)
+        except UnsupportedFunctionError:
+            pass
     else:
         ceiling = n_hi = dudeney_cutoff(spec, base).cutoff
     values = []

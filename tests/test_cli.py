@@ -1010,4 +1010,4 @@ class TestCorpusCommand:
         monkeypatch.setattr(corpus_mod, "load_corpus", lambda: [entry.replace(**field)])
         code, out, err = run(capsys, "corpus", "check")
         assert (code, out) == (2, "")
-        assert err.startswith("error: the armstrong search")
+        assert err.startswith("error: corpus entry 'armstrong-b3': the armstrong search")

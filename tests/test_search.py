@@ -321,16 +321,27 @@ class TestSearchArmstrong:
         hits = search_armstrong(3)
         assert [h.fn for h in hits] == ["pow:2", "pow:2", "pow:3"]
 
-    def test_base10_through_16_digits_matches_a005188(self):
+    def test_base10_through_20_digits_matches_a005188(self):
         a005188 = [
             153, 370, 371, 407, 1634, 8208, 9474, 54748, 92727, 93084, 548834,
             1741725, 4210818, 9800817, 9926315, 24678050, 24678051, 88593477,
             146511208, 472335975, 534494836, 912985153, 4679307774, 32164049650,
             32164049651, 40028394225, 42678290603, 44708635679, 49388550606,
             82693916578, 94204591914, 28116440335967, 4338281769391370,
-            4338281769391371,
+            4338281769391371, 21897142587612075, 35641594208964132,
+            35875699062250035, 1517841543307505039, 3289582984443187032,
+            4498128791164624869, 4929273885928088826, 63105425988599693916,
         ]
-        assert values(search_armstrong(10, max_order=16)) == a005188
+        assert values(search_armstrong(10, max_order=20)) == a005188
+
+
+def _flat_length(draw, base):
+    """A length whose flat enumeration of multisets stays small, and an optional cap."""
+    top = 1
+    while top < 40 and comb(top + base, base - 1) <= 20_000:
+        top += 1
+    m = draw(st.integers(1, top))
+    return m, draw(st.none() | st.integers(1, base**m))
 
 
 @st.composite
@@ -339,18 +350,42 @@ def multiset_cases(draw):
     base = draw(st.integers(2, 16))
     spec = parse_spec(draw(st.sampled_from(CATALOG_SPEC_TEXTS)))
     spec = spec.with_zero_self_power(draw(st.sampled_from((0, 1))))
-    top = 1
-    while top < 40 and comb(top + base, base - 1) <= 20_000:
-        top += 1
-    m = draw(st.integers(1, top))
-    cap = draw(st.none() | st.integers(1, base**m))
+    m, cap = _flat_length(draw, base)
     return [evaluate(spec, d) for d in range(base)], base, m, cap
+
+
+@st.composite
+def arbitrary_multiset_cases(draw):
+    """Any F table in base 2-16: repeated values, F(0) > 0, zeros and decreasing runs.
+
+    Values reach past base**m so that sums can land anywhere in the m-digit
+    window and beyond it.
+    """
+    base = draw(st.integers(2, 16))
+    m, cap = _flat_length(draw, base)
+    value = st.sampled_from((0, 1, base - 1, base, base**m - 1)) | st.integers(0, 2 * base**m)
+    f_vals = draw(st.lists(value, min_size=base, max_size=base))
+    if draw(st.booleans()):
+        # a decreasing run over a random stretch of digits
+        a = draw(st.integers(0, base - 1))
+        b = draw(st.integers(a, base - 1))
+        f_vals[a : b + 1] = sorted(f_vals[a : b + 1], reverse=True)
+    return f_vals, base, m, cap
 
 
 class TestMultisetEngine:
     @settings(max_examples=300, deadline=None)
     @given(multiset_cases())
     def test_pruned_search_equals_flat_enumeration(self, case):
+        f_vals, base, m, cap = case
+        got = sorted(_multiset_length(f_vals, base, m, cap))
+        assert got == sorted(oracle_multiset_length(f_vals, base, m, cap))
+
+    # the carried prefix and the count range rest on the prefix extrema of F,
+    # so tables far from any catalog function probe them hardest
+    @settings(max_examples=300, deadline=None)
+    @given(arbitrary_multiset_cases())
+    def test_pruned_search_equals_flat_enumeration_for_any_table(self, case):
         f_vals, base, m, cap = case
         got = sorted(_multiset_length(f_vals, base, m, cap))
         assert got == sorted(oracle_multiset_length(f_vals, base, m, cap))
@@ -427,6 +462,16 @@ class TestSearchDudeney:
                 pre = search_dudeney(spec, base, engine="preimage")
                 scan = search_dudeney(spec, base, engine="scan")
                 assert pre == scan and pre.ceiling == scan.ceiling - 1 == s_max, (p, base)
+
+    def test_capped_scan_stops_at_the_cutoff(self):
+        # no n at or above the cutoff (55) can be a hit, so a cap far above it
+        # finds the preimage engine's hits at once and still reports the cap
+        spec = parse_spec("pow:3")
+        capped = search_dudeney(spec, 10, cap=10**6, engine="scan")
+        assert capped == search_dudeney(spec, 10, engine="preimage")
+        assert capped.ceiling == 10**6
+        # a cap below the cutoff still bounds the walk
+        assert values(search_dudeney(spec, 10, cap=20)) == [1, 8, 17, 18]
 
     def test_preimage_needs_power_kind(self):
         with pytest.raises(ConfigurationError):
