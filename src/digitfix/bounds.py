@@ -18,7 +18,7 @@ Three shapes of result:
 
 from __future__ import annotations
 
-from ._record import Record, setfield
+from ._record import Record
 from .digitops import digit_count
 from .errors import ConfigurationError, UnsupportedFunctionError
 from .families import decimal_str
@@ -41,6 +41,7 @@ _E_HI = (271828182845904524, 10**17)
 
 # Largest block value table we will enumerate to find max F over a block.
 _POLY_MAX_SCAN = 1 << 16
+_AUDIT_WINDOW = 50  # values replayed into a digit-sum cutoff's witness list
 
 
 class BoundReport(Record):
@@ -53,40 +54,22 @@ class BoundReport(Record):
 
     __slots__ = ("s_k", "block_threshold", "n_max", "justification")
 
-    def __init__(
-        self, s_k: int, block_threshold: int, n_max: int, justification: tuple[str, ...]
-    ) -> None:
-        setfield(self, "s_k", s_k)
-        setfield(self, "block_threshold", block_threshold)
-        setfield(self, "n_max", n_max)
-        setfield(self, "justification", justification)
-
 
 class CutoffReport(Record):
     """A cutoff N: no fixed point of the family exists at or above N.
 
     ``witnesses`` holds (n, lhs, rhs) triples recorded at the decision
     boundary; their meaning depends on the family (documented at each call
-    site).  Method ``analytic`` means a persistence certificate was checked in
-    integer arithmetic; ``predicate_scan`` marks a plain windowed scan.
+    site).  Method ``analytic``, the only one, means a persistence certificate
+    was checked in integer arithmetic.
     """
 
     __slots__ = ("cutoff", "method", "witnesses")
 
-    def __init__(
-        self, cutoff: int, method: str, witnesses: tuple[tuple[int, int, int], ...]
-    ) -> None:
-        setfield(self, "cutoff", cutoff)
-        setfield(self, "method", method)
-        setfield(self, "witnesses", witnesses)
-
 
 class PowerSumBound(Record):
+    # the blunt analytic ceiling b**(p*p), and the largest digit sum any fixed point can have
     __slots__ = ("coarse", "s_max")
-
-    def __init__(self, coarse: int, s_max: int) -> None:
-        setfield(self, "coarse", coarse)  # the blunt analytic ceiling b**(p*p)
-        setfield(self, "s_max", s_max)  # largest digit sum any fixed point can have
 
 
 def _max_over_block(spec: FunctionSpec, radix: int) -> int:
@@ -270,26 +253,30 @@ def _digit_length_threshold(spec: FunctionSpec, base: int) -> int:
     return base ** (level - 1)
 
 
-def dudeney_cutoff(spec: FunctionSpec, base: int, window: int = 50) -> CutoffReport:
+def _last_digit_sum_fit(spec: FunctionSpec, base: int) -> int:
+    """Largest n with n <= (b-1)*digit_count(F(n)), or 0; none fits past the threshold."""
+    last_fit = 0
+    for n in range(1, _digit_length_threshold(spec, base)):
+        if n <= (base - 1) * digit_count(evaluate(spec, n), base):
+            last_fit = n
+    return last_fit
+
+
+def dudeney_cutoff(spec: FunctionSpec, base: int) -> CutoffReport:
     """Least N with n > (b-1)*digit_count(F(n)) for every n >= N.
 
     The inequality is the integer necessary condition for n = digitsum(F(n)):
     the digit sum of F(n) can reach at most (b-1) per digit.  Requires
     polynomial growth; everything above the analytic digit-length threshold is
     certified, and the region below it is scanned exhaustively, so the N
-    returned is minimal and sound.  ``window`` successes after N are replayed
-    into the witness list as an audit trail.
+    returned is minimal and sound.  ``_AUDIT_WINDOW`` successes after N are
+    replayed into the witness list as an audit trail.
     """
     if base < 2:
         raise ConfigurationError(f"numeral base must be at least 2, got {base}")
-    threshold = _digit_length_threshold(spec, base)
-    last_fail = 0
-    for n in range(1, threshold):
-        if n <= (base - 1) * digit_count(evaluate(spec, n), base):
-            last_fail = n
-    cutoff = last_fail + 1
+    cutoff = _last_digit_sum_fit(spec, base) + 1
     witnesses = []
-    for n in range(max(1, cutoff - 1), cutoff + max(window, 2)):
+    for n in range(max(1, cutoff - 1), cutoff + _AUDIT_WINDOW):
         witnesses.append((n, n, (base - 1) * digit_count(evaluate(spec, n), base)))
     return CutoffReport(cutoff, "analytic", tuple(witnesses))
 
@@ -308,10 +295,5 @@ def powersum_bound(p: int, base: int) -> PowerSumBound:
         raise ConfigurationError(f"power-sum exponent must be at least 2, got {p}")
     if base < 2:
         raise ConfigurationError(f"numeral base must be at least 2, got {base}")
-    spec = FunctionSpec.power(p)
-    threshold = _digit_length_threshold(spec, base)
-    s_max = 1
-    for s in range(1, threshold):
-        if s <= (base - 1) * digit_count(s**p, base):
-            s_max = s
+    s_max = _last_digit_sum_fit(FunctionSpec.power(p), base)  # s = 1 always fits
     return PowerSumBound(coarse=base ** (p * p), s_max=s_max)

@@ -22,7 +22,7 @@ Entry schema (one JSON object per entry):
 
 from __future__ import annotations
 
-from ._record import Record, setfield
+from ._record import Record
 from .errors import ConfigurationError
 from .families import piezas_numerals, verify_concat_square, vitalis_generate
 from .funcatalog import parse_spec
@@ -32,73 +32,30 @@ __all__ = ["CorpusEntry", "CorpusReport", "EntryResult", "corpus_check", "load_c
 
 
 class CorpusEntry(Record):
-    __slots__ = (
-        "id",
-        "kind",
-        "expected",
-        "family",
-        "base",
-        "k",
-        "fn",
-        "engine",
-        "cap",
-        "max_order",
-        "digits",
-        "include_zero",
-        "zero_pow_zero",
-        "erratum",
-        "note",
-    )
-
-    def __init__(
-        self,
-        id: str,
-        kind: str,
-        expected: object,
-        family: str | None = None,
-        base: int = 10,
-        k: int = 1,
-        fn: str | None = None,
-        engine: str | None = None,
-        cap: int | None = None,
-        max_order: int | None = None,
-        digits: int | None = None,
-        include_zero: bool = False,
-        zero_pow_zero: int = 1,
-        erratum: bool = False,
-        note: str = "",
-    ) -> None:
-        setfield(self, "id", id)
-        setfield(self, "kind", kind)
-        setfield(self, "expected", expected)
-        setfield(self, "family", family)
-        setfield(self, "base", base)
-        setfield(self, "k", k)
-        setfield(self, "fn", fn)
-        setfield(self, "engine", engine)
-        setfield(self, "cap", cap)
-        setfield(self, "max_order", max_order)
-        setfield(self, "digits", digits)
-        setfield(self, "include_zero", include_zero)
-        setfield(self, "zero_pow_zero", zero_pow_zero)
-        setfield(self, "erratum", erratum)
-        setfield(self, "note", note)
+    _defaults = {
+        "family": None,
+        "base": 10,
+        "k": 1,
+        "fn": None,
+        "engine": None,
+        "cap": None,
+        "max_order": None,
+        "digits": None,
+        "include_zero": False,
+        "zero_pow_zero": 1,
+        "erratum": False,
+        "note": "",
+    }
+    __slots__ = ("id", "kind", "expected", *_defaults)
 
 
 class EntryResult(Record):
     __slots__ = ("entry", "ok", "actual")
 
-    def __init__(self, entry: CorpusEntry, ok: bool, actual: object) -> None:
-        setfield(self, "entry", entry)
-        setfield(self, "ok", ok)
-        setfield(self, "actual", actual)
-
 
 class CorpusReport(Record):
-    __slots__ = ("results",)
-
-    def __init__(self, results: tuple[EntryResult, ...] = ()) -> None:
-        setfield(self, "results", results)
+    _defaults = {"results": ()}
+    __slots__ = tuple(_defaults)
 
     @property
     def mismatches(self) -> tuple[EntryResult, ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, setfield
+from ._record import Record
 from .errors import ConfigurationError
 
 __all__ = [
@@ -51,15 +51,14 @@ class DigitVector(Record):
 
     __slots__ = ("digits", "base")
 
-    def __init__(self, digits: tuple[int, ...], base: int) -> None:
+    def _check(self) -> None:
+        base = self.base
         _check_base(base)
-        if not digits:
+        if not self.digits:
             raise ValueError("digit vector must hold at least one digit")
-        for d in digits:
+        for d in self.digits:
             if not 0 <= d < base:
                 raise ValueError(f"digit {d} out of range for base {base}")
-        setfield(self, "digits", digits)
-        setfield(self, "base", base)
 
     @property
     def is_canonical(self) -> bool:
@@ -75,17 +74,15 @@ class BlockVector(Record):
 
     __slots__ = ("blocks", "base", "block_width")
 
-    def __init__(self, blocks: tuple[int, ...], base: int, block_width: int) -> None:
+    def _check(self) -> None:
+        base, block_width = self.base, self.block_width
         _check_base(base)
         if block_width < 1:
             raise ConfigurationError(f"block width must be at least 1, got {block_width}")
         radix = base**block_width
-        for v in blocks:
+        for v in self.blocks:
             if not 0 <= v < radix:
                 raise ValueError(f"block {v} out of range for base {base} width {block_width}")
-        setfield(self, "blocks", blocks)
-        setfield(self, "base", base)
-        setfield(self, "block_width", block_width)
 
     @property
     def radix(self) -> int:

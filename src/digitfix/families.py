@@ -33,7 +33,7 @@ str(int) and a count by long division are O(n**2).
 
 from __future__ import annotations
 
-from ._record import Record, setfield
+from ._record import Record
 from .digitops import digit_count
 from .errors import ConfigurationError
 
@@ -58,25 +58,13 @@ SEED_PAIRS = ((12, 33, 2), (88, 33, 2))
 
 
 class PiezasParams(Record):
-    """Derived parameters of one member of the Fermat-prime family."""
+    """Derived parameters of one member of the Fermat-prime family.
+
+    ``fe`` is the Fermat prime 2**(2**i) + 1, ``a`` = 2**(2**(i-1)) is one
+    less than the previous Fermat number, ``l`` = (fe - 1) / 4 and ``u`` = 4t + 3.
+    """
 
     __slots__ = ("fermat_index", "t", "fe", "a", "l", "u")
-
-    def __init__(
-        self,
-        fermat_index: int,
-        t: int,
-        fe: int,  # the Fermat prime 2**(2**i) + 1
-        a: int,  # 2**(2**(i-1)), one less than the previous Fermat number
-        l: int,  # (fe - 1) / 4
-        u: int,  # 4t + 3
-    ) -> None:
-        setfield(self, "fermat_index", fermat_index)
-        setfield(self, "t", t)
-        setfield(self, "fe", fe)
-        setfield(self, "a", a)
-        setfield(self, "l", l)
-        setfield(self, "u", u)
 
     @classmethod
     def from_index(cls, fermat_index: int, t: int) -> "PiezasParams":
@@ -105,11 +93,6 @@ class ConcatSquarePair(Record):
     """Equal-field pair with x*10**block_length + y == x**2 + y**2."""
 
     __slots__ = ("x", "y", "block_length")
-
-    def __init__(self, x: int, y: int, block_length: int) -> None:
-        setfield(self, "x", x)
-        setfield(self, "y", y)
-        setfield(self, "block_length", block_length)
 
 
 def _piezas_member(params: PiezasParams, big):

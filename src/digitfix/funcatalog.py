@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, setfield
+from ._record import Record
 from .errors import ConfigurationError
 
 __all__ = [
@@ -50,21 +50,18 @@ class GrowthClass(Record):
 
     __slots__ = ("kind",)
 
-    def __init__(self, kind: str) -> None:
-        setfield(self, "kind", kind)
-
 
 class FunctionSpec(Record):
-    __slots__ = ("kind", "exponent", "expbase", "coeffs", "zero_self_power")
+    _defaults = {
+        "exponent": None,  # power: F(x) = x**exponent
+        "expbase": None,  # exp_base: F(x) = expbase**x
+        "coeffs": None,  # polynomial: Fractions, leading first
+        "zero_self_power": 1,  # value assigned to 0**0 for self_power
+    }
+    __slots__ = ("kind", *_defaults)
 
-    def __init__(
-        self,
-        kind: str,
-        exponent: int | None = None,  # power: F(x) = x**exponent
-        expbase: int | None = None,  # exp_base: F(x) = expbase**x
-        coeffs: tuple | None = None,  # polynomial: Fractions, leading first
-        zero_self_power: int = 1,  # value assigned to 0**0 for self_power
-    ) -> None:
+    def _check(self) -> None:
+        kind, exponent, expbase, coeffs, zero_self_power = self._fields()
         if kind not in _KINDS:
             raise ConfigurationError(f"unknown function kind {kind!r}")
         if kind == "power" and (exponent is None or exponent < 1):
@@ -75,43 +72,39 @@ class FunctionSpec(Record):
             raise ConfigurationError("polynomial needs at least one coefficient")
         if zero_self_power not in (0, 1):
             raise ConfigurationError("zero_self_power must be 0 or 1")
-        setfield(self, "kind", kind)
-        setfield(self, "exponent", exponent)
-        setfield(self, "expbase", expbase)
-        setfield(self, "coeffs", coeffs)
-        setfield(self, "zero_self_power", zero_self_power)
 
     # -- constructors ------------------------------------------------------
+    # Each passes every field in order, the fast path of Record's constructor.
 
     @classmethod
     def power(cls, exponent: int) -> "FunctionSpec":
-        return cls("power", exponent=exponent)
+        return cls("power", exponent, None, None, 1)
 
     @classmethod
     def self_power(cls, zero_self_power: int = 1) -> "FunctionSpec":
-        return cls("self_power", zero_self_power=zero_self_power)
+        return cls("self_power", None, None, None, zero_self_power)
 
     @classmethod
     def exp_base(cls, base: int) -> "FunctionSpec":
-        return cls("exp_base", expbase=base)
+        return cls("exp_base", None, base, None, 1)
 
     @classmethod
     def factorial(cls) -> "FunctionSpec":
-        return cls("factorial")
+        return cls("factorial", None, None, None, 1)
 
     @classmethod
     def subfactorial(cls) -> "FunctionSpec":
-        return cls("subfactorial")
+        return cls("subfactorial", None, None, None, 1)
 
     @classmethod
     def fibonacci(cls) -> "FunctionSpec":
-        return cls("fibonacci")
+        return cls("fibonacci", None, None, None, 1)
 
     @classmethod
     def polynomial(cls, coeffs) -> "FunctionSpec":
         from fractions import Fraction
 
-        return cls("polynomial", coeffs=tuple(Fraction(c) for c in coeffs))
+        return cls("polynomial", None, None, tuple(Fraction(c) for c in coeffs), 1)
 
     # -- presentation ------------------------------------------------------
 

@@ -66,7 +66,7 @@ from functools import cache, lru_cache
 from itertools import accumulate
 from types import SimpleNamespace
 
-from ._record import Record, setfield
+from ._record import Record
 from .bounds import (
     _digit_length_threshold,
     dudeney_cutoff,
@@ -74,7 +74,7 @@ from .bounds import (
     powersum_bound,
     wells_cutoff,
 )
-from .digitops import BlockVector, digit_count, digit_sum, group_blocks, reverse_digits
+from .digitops import digit_count, digit_sum, group_blocks, reverse_digits
 from .errors import ConfigurationError, UnsupportedFunctionError
 from .families import elide_numeral
 from .funcatalog import FunctionSpec, evaluate, parse_spec
@@ -113,17 +113,18 @@ _REVERSAL_HIT_BUDGET = 100_000  # most hits one reversal search lists, about 2 s
 class SearchConfig(Record):
     """Parameters of a block-summation search."""
 
-    __slots__ = ("spec", "base", "width", "engine", "cap", "include_zero")
+    _defaults = {
+        "spec": None,
+        "base": 10,
+        "width": 1,  # digits per block
+        "engine": "scan",  # scan | multiset
+        "cap": None,  # hard ceiling overriding the derived bound
+        "include_zero": False,
+    }
+    __slots__ = tuple(_defaults)
 
-    def __init__(
-        self,
-        spec: FunctionSpec | None = None,
-        base: int = 10,
-        width: int = 1,  # digits per block
-        engine: str = "scan",  # scan | multiset
-        cap: int | None = None,  # hard ceiling overriding the derived bound
-        include_zero: bool = False,
-    ) -> None:
+    def _check(self) -> None:
+        base, width, engine, cap = self.base, self.width, self.engine, self.cap
         if base < 2:
             raise ConfigurationError(f"numeral base must be at least 2, got {base}")
         if width < 1:
@@ -136,12 +137,6 @@ class SearchConfig(Record):
             raise ConfigurationError("the multiset engine requires block width 1")
         if cap is not None and cap < 1:
             raise ConfigurationError(f"cap must be at least 1, got {cap}")
-        setfield(self, "spec", spec)
-        setfield(self, "base", base)
-        setfield(self, "width", width)
-        setfield(self, "engine", engine)
-        setfield(self, "cap", cap)
-        setfield(self, "include_zero", include_zero)
 
 
 class SearchHit(Record):
@@ -155,20 +150,6 @@ class SearchHit(Record):
 
     __slots__ = ("value", "blocks", "images", "family", "fn")
 
-    def __init__(
-        self,
-        value: int,
-        blocks: BlockVector,
-        images: tuple[int, ...],
-        family: str,
-        fn: str | None,
-    ) -> None:
-        setfield(self, "value", value)
-        setfield(self, "blocks", blocks)
-        setfield(self, "images", images)
-        setfield(self, "family", family)
-        setfield(self, "fn", fn)
-
 
 class ReversalHit(Record):
     """An n that is an integral multiple of its own digit reversal.
@@ -180,11 +161,6 @@ class ReversalHit(Record):
     __slots__ = ("value", "multiplier", "reversal")
     family = "reversal"
     fn = None
-
-    def __init__(self, value: int, multiplier: int, reversal: int) -> None:
-        setfield(self, "value", value)
-        setfield(self, "multiplier", multiplier)
-        setfield(self, "reversal", reversal)
 
     @property
     def images(self) -> tuple[int, int]:
@@ -759,7 +735,7 @@ def search_reversal(base: int, num_digits: int) -> Hits:
     count = sum(_count_paths(layers) for layers, _ in automata)
     if count > _REVERSAL_HIT_BUDGET:
         raise ConfigurationError(
-            f"base {base} has {count} reversal multiples of {num_digits} digits, "
+            f"base {base} has {elide_numeral(count)} reversal multiples of {num_digits} digits, "
             f"more than the {_REVERSAL_HIT_BUDGET} one search lists"
         )
     values = sorted(

@@ -1,10 +1,14 @@
 """Value semantics of the package's immutable records."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import digitfix
+from digitfix._record import Record
 from digitfix.bounds import BoundReport, CutoffReport, PowerSumBound
 from digitfix.corpus import CorpusEntry, CorpusReport, EntryResult
 from digitfix.digitops import BlockVector, DigitVector
@@ -133,3 +137,35 @@ def test_record_value_semantics(cls, args, defaults, change):
 def test_record_validation(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, message",
+    [
+        (ConcatSquarePair, (12, 33, 2, 4), {}, r"ConcatSquarePair\(\) takes 3 fields, got 4"),
+        (ConcatSquarePair, (12, 33), {"width": 2}, "got an unknown field 'width'"),
+        (ConcatSquarePair, (12, 33), {"x": 2}, "got a repeated field 'x'"),
+        (ConcatSquarePair, (12,), {"block_length": 2}, r"is missing field\(s\) y$"),
+        (FunctionSpec, (), {"exponent": 3}, r"FunctionSpec\(\) is missing field\(s\) kind$"),
+        (CorpusEntry, ("e",), {}, r"is missing field\(s\) kind, expected$"),
+    ],
+    ids=["too-many", "unknown", "repeated", "missing", "missing-first", "missing-two"],
+)
+def test_constructor_refuses_bad_arguments(cls, args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        cls(*args, **kwargs)
+
+
+def test_records_inherit_the_one_constructor():
+    modules = [
+        importlib.import_module(f"digitfix.{info.name}")
+        for info in pkgutil.iter_modules(digitfix.__path__)
+    ]
+    records = {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, Record) and value is not Record
+    }
+    assert {case[0] for case in RECORDS} <= records
+    assert [cls.__name__ for cls in records if "__init__" in vars(cls)] == []

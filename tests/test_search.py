@@ -1,4 +1,5 @@
 import inspect
+import sys
 from math import comb
 
 import pytest
@@ -612,6 +613,23 @@ class TestSearchReversal:
         with pytest.raises(ConfigurationError, match=" 754 "):
             search_reversal(10, 30)
 
+    def test_refusal_names_the_budget_past_the_int_to_str_limit(self):
+        # 6200 digits have about 2 * F(3099) hits, a count of 648 decimal digits
+        count = sum(_count_paths(_reversal_automaton(lam, 10, 6200)[0]) for lam in range(2, 10))
+        count_text = str(count)
+        assert len(count_text) > 640
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the least limit Python accepts
+        try:
+            with pytest.raises(ConfigurationError) as refused:
+                search_reversal(10, 6200)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(refused.value) == (
+            f"base 10 has {count_text} reversal multiples of 6200 digits, "
+            "more than the 100000 one search lists"
+        )
+
     def test_base8_seven_digits(self):
         got = [(h.value, h.multiplier) for h in search_reversal(8, 7)]
         assert got == [
@@ -784,7 +802,7 @@ class TestRunSearch:
     def test_first_engine_is_the_searchs_own_default(self):
         # run_search passes the first engine where the command line gives none
         defaults = {
-            "hardy": inspect.signature(SearchConfig).parameters["engine"].default,
+            "hardy": SearchConfig().engine,
             "dudeney": inspect.signature(search_dudeney).parameters["engine"].default,
             "powersum": inspect.signature(search_powersum).parameters["engine"].default,
         }
