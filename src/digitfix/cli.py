@@ -12,6 +12,14 @@ JSON object per line with a stable schema, byte-identical across runs and
 ``--jobs`` values.  Exit codes: 0 success, 1 corpus mismatch, 2 usage or
 configuration error, 3 no finite search bound for the requested function.
 
+The command itself is :func:`run`, which both ``python -m digitfix.cli`` and
+the ``digitfix`` script call: it runs :func:`main` on ``sys.argv``, calls
+``gc.freeze()`` and leaves through ``sys.exit`` with main's exit code.  The
+freeze spares interpreter shutdown its collections over every object that
+start-up loaded; output is still flushed and atexit handlers still run.
+:func:`main` returns the exit code and never freezes, so tests and other
+in-process callers keep their collector as it was.
+
 Every search subcommand is built from its entry in
 :data:`digitfix.search.FAMILY_TABLE` (its options and text lines) and goes
 through :func:`digitfix.search.run_search`, which picks the family's search
@@ -46,6 +54,7 @@ checked so for every command.  Results never depend on it.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
@@ -719,5 +728,19 @@ def main(argv=None) -> int:
         return _EXIT_USAGE
 
 
+def run() -> None:
+    """The command: :func:`main` on ``sys.argv``, then exit with its code.
+
+    ``gc.freeze()`` moves every live object into the permanent generation,
+    which the collections of interpreter shutdown never walk, so a cycle
+    still alive then is not finalized: no command leaves an open file in
+    one.  ``sys.exit`` still flushes the output, reports a failed flush and
+    runs the atexit handlers.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -29,6 +29,16 @@ The scan sizes its chunk table to its ceiling n_max: the span is the first
 power of the radix at or above sqrt(n_max), up to 2**17, so the table build
 and the per-span bisections both cost about sqrt(n_max).
 
+``auto``, the default, picks between them without estimating anything: the
+scan's work is known exactly before it starts (its table entries plus ten
+per span, :func:`_scan_work`, about 0.5 us each), while a multiset node
+costs 1.3-3 us and their number is known only by walking them.  So at width
+1 ``auto`` runs the multiset engine with a budget of a quarter of the scan's
+work in nodes, and runs the scan if that budget runs out first; at other
+widths it runs the scan.  A spent budget has cost about one scan, so
+``auto`` takes at most about twice as long as the faster engine.  The
+returned :class:`Hits` name the engine that ran.
+
 Every search runs in one process: a pool's workers would each build the
 same table again.
 
@@ -117,7 +127,7 @@ class SearchConfig(Record):
         "spec": None,
         "base": 10,
         "width": 1,  # digits per block
-        "engine": "scan",  # scan | multiset
+        "engine": "auto",  # auto | scan | multiset
         "cap": None,  # hard ceiling overriding the derived bound
         "include_zero": False,
     }
@@ -131,7 +141,7 @@ class SearchConfig(Record):
             raise ConfigurationError(f"block width must be at least 1, got {width}")
         if engine == "preimage":
             raise ConfigurationError("the preimage engine applies to digit-sum searches only")
-        if engine not in ("scan", "multiset"):
+        if engine not in ("auto", "scan", "multiset"):
             raise ConfigurationError(f"unknown engine {engine!r}")
         if engine == "multiset" and width != 1:
             raise ConfigurationError("the multiset engine requires block width 1")
@@ -168,17 +178,21 @@ class ReversalHit(Record):
 
 
 class Hits(list):
-    """A search's hits in ascending order, and the ceiling the search proved.
+    """A search's hits in ascending order, the ceiling the search proved, and
+    the engine that ran.
 
     ``ceiling`` is the cap when one was given, else the derived bound: the
     block-sum ceiling n_max (hardy), the top order searched (armstrong), the
     cutoff (wells, and dudeney's scan), s_max (dudeney's preimage engine),
-    min(s_max**p, cap) (powersum), base**digits - 1 (reversal).
+    min(s_max**p, cap) (powersum), base**digits - 1 (reversal).  ``engine``
+    is "scan" or "multiset" for a hardy search, also when ``auto`` chose it,
+    and None for the other families.
     """
 
-    def __init__(self, hits, ceiling: int) -> None:
+    def __init__(self, hits, ceiling: int, engine: str | None = None) -> None:
         super().__init__(hits)
         self.ceiling = ceiling
+        self.engine = engine
 
 
 def hardy_hit(value: int, base: int, width: int, spec: FunctionSpec) -> SearchHit:
@@ -254,6 +268,16 @@ def reversal_hit(value: int, base: int) -> ReversalHit:
 # diff[r] == offset - F(q), one target per chunk.  The index lists the
 # positions 0..span-1 sorted stably by diff, so the hits of a chunk are one
 # run of it, found by two bisections and already ascending.
+
+
+def _scan_work(radix: int, hi: int) -> int:
+    """What a scan below hi costs, in table entries: it builds its table
+    once and bisects once per span, a pair of bisections costing about ten
+    entries.  Without a table every value costs about ten."""
+    if radix > _TABLE_SPAN:
+        return 10 * hi
+    span = radix ** _table_depth(radix, hi)
+    return span + 10 * (hi // span + 1)
 
 
 def _table_depth(radix: int, hi: int) -> int:
@@ -357,8 +381,12 @@ def _scan_range(
 # -- multiset engine -----------------------------------------------------------
 
 
-def _multiset_length(f_vals: list[int], base: int, m: int, cap: int | None) -> list[int]:
-    """Values t of m digits (t <= cap) equal to the F-sum of their own digits.
+def _multiset_length(
+    f_vals: list[int], base: int, m: int, cap: int | None, budget: int = -1
+) -> tuple[list[int], int] | None:
+    """Values t of m digits (t <= cap) equal to the F-sum of their own digits,
+    and the budget left: None once ``budget`` nodes are popped before the
+    search ends.  A negative budget never runs out.
 
     The pruned digit-count search of the module docstring.  A node fixes the
     count of digit d, with the counts of the digits above d in ``counts``;
@@ -374,7 +402,7 @@ def _multiset_length(f_vals: list[int], base: int, m: int, cap: int | None) -> l
     if cap is not None and cap < hi:
         hi = cap
     if hi < lo:
-        return []
+        return [], budget
     # F need not be monotone (subfactorial: !0 = 1, !1 = 0), so bound the
     # free digits 0..d by prefix extrema rather than by F(0) and F(d)
     f_min = list(accumulate(f_vals, min))
@@ -387,6 +415,9 @@ def _multiset_length(f_vals: list[int], base: int, m: int, cap: int | None) -> l
     # for a digit above base - 1 and fixes nothing.
     stack = [(base, 0, m, m, 0, 0, [0] * base)]
     while stack:
+        if budget == 0:
+            return None
+        budget -= 1
         d, c, rest, free, s, k, pre = stack.pop()
         counts[d] = c  # siblings pop before anything above d changes
         d -= 1
@@ -428,14 +459,22 @@ def _multiset_length(f_vals: list[int], base: int, m: int, cap: int | None) -> l
                 hits.append(low)
             else:
                 stack.append((d, c, r, f, s_c, j, p))
-    return hits
+    return hits, budget
 
 
-def _multiset_search(spec: FunctionSpec, base: int, max_len: int, cap: int | None) -> list[int]:
+def _multiset_search(
+    spec: FunctionSpec, base: int, max_len: int, cap: int | None, budget: int = -1
+) -> list[int] | None:
+    """The hits of lengths 1..max_len, or None once ``budget`` nodes are popped
+    over all lengths."""
     f_vals = [evaluate(spec, d) for d in range(base)]
     hits = []
     for m in range(1, max_len + 1):
-        hits.extend(_multiset_length(f_vals, base, m, cap))
+        found = _multiset_length(f_vals, base, m, cap, budget)
+        if found is None:
+            return None
+        hits += found[0]
+        budget = found[1]
     return hits
 
 
@@ -452,18 +491,28 @@ def search_hardy(cfg: SearchConfig) -> Hits:
     else:
         bound = hardy_bound(cfg.spec, cfg.base, cfg.width)
         ceiling = bound.n_max
-    if cfg.engine == "scan":
-        values = _scan_range(1, ceiling + 1, cfg.spec, cfg.base, cfg.width)
-    else:
+    engine, budget = cfg.engine, -1
+    if engine == "auto":
+        # a multiset node costs about four table entries, so a budget of a
+        # quarter of the scan's work has cost about one scan once it is spent
+        engine = "multiset" if cfg.width == 1 else "scan"
+        budget = _scan_work(cfg.base**cfg.width, ceiling + 1) // 4
+    if engine == "multiset":
         if bound is None:
-            values = _multiset_search(cfg.spec, cfg.base, digit_count(ceiling, cfg.base), ceiling)
+            length, cap = digit_count(ceiling, cfg.base), ceiling
         else:
-            values = _multiset_search(cfg.spec, cfg.base, bound.block_threshold - 1, None)
-        values = [v for v in values if v >= 1]
+            length, cap = bound.block_threshold - 1, None
+        values = _multiset_search(cfg.spec, cfg.base, length, cap, budget)
+        if values is None:
+            engine = "scan"  # auto's budget ran out
+        else:
+            values = [v for v in values if v >= 1]
+    if engine == "scan":
+        values = _scan_range(1, ceiling + 1, cfg.spec, cfg.base, cfg.width)
     if cfg.include_zero and evaluate(cfg.spec, 0) == 0:
         values.append(0)
     values.sort()
-    return Hits([hardy_hit(v, cfg.base, cfg.width, cfg.spec) for v in values], ceiling)
+    return Hits([hardy_hit(v, cfg.base, cfg.width, cfg.spec) for v in values], ceiling, engine)
 
 
 def armstrong_order_ceiling(base: int) -> int:
@@ -490,7 +539,7 @@ def search_armstrong(base: int, max_order: int | None = None) -> Hits:
     hits = []
     for order in range(2, top + 1):
         f_vals = [d**order for d in range(base)]
-        for value in _multiset_length(f_vals, base, order, None):
+        for value in _multiset_length(f_vals, base, order, None)[0]:
             hits.append(armstrong_hit(value, base, order))
     hits.sort(key=lambda h: h.value)
     return Hits(hits, top)
@@ -786,7 +835,7 @@ FAMILY_TABLE = {
     "hardy": _family(
         "n equal to the F-sum of its digit blocks", "search_hardy",
         ("spec", "base", "k", "engine", "cap", "include_zero"), _sum_line,
-        config=True, engines=("scan", "multiset"),
+        config=True, engines=("auto", "scan", "multiset"),
     ),
     "armstrong": _family(
         "m-digit n equal to the sum of m-th powers of digits", "search_armstrong",

@@ -53,7 +53,7 @@ RECORDS = [
     (
         SearchConfig,
         (FunctionSpec.power(3), 7, 2, "scan", 100, True),
-        {"spec": None, "base": 10, "width": 1, "engine": "scan", "cap": None,
+        {"spec": None, "base": 10, "width": 1, "engine": "auto", "cap": None,
          "include_zero": False},
         ("cap", 200),
     ),

@@ -3,7 +3,7 @@ import sys
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import digitfix.search
@@ -19,6 +19,7 @@ from digitfix.search import (
     _count_paths,
     _matches,
     _multiset_length,
+    _multiset_search,
     _reversal_automaton,
     _scan_range,
     _table_depth,
@@ -379,7 +380,7 @@ class TestMultisetEngine:
     @given(multiset_cases())
     def test_pruned_search_equals_flat_enumeration(self, case):
         f_vals, base, m, cap = case
-        got = sorted(_multiset_length(f_vals, base, m, cap))
+        got = sorted(_multiset_length(f_vals, base, m, cap)[0])
         assert got == sorted(oracle_multiset_length(f_vals, base, m, cap))
 
     # the carried prefix and the count range rest on the prefix extrema of F,
@@ -388,14 +389,92 @@ class TestMultisetEngine:
     @given(arbitrary_multiset_cases())
     def test_pruned_search_equals_flat_enumeration_for_any_table(self, case):
         f_vals, base, m, cap = case
-        got = sorted(_multiset_length(f_vals, base, m, cap))
+        got = sorted(_multiset_length(f_vals, base, m, cap)[0])
         assert got == sorted(oracle_multiset_length(f_vals, base, m, cap))
 
     def test_length_one_keeps_zero_when_f0_is_zero(self):
         # the multiset (0,) sums to F(0); search_hardy drops the 0 afterwards
-        assert sorted(_multiset_length([0, 1, 8, 27], 4, 1, None)) == [0, 1]
+        assert sorted(_multiset_length([0, 1, 8, 27], 4, 1, None)[0]) == [0, 1]
         # one search level per digit: a base above the recursion limit still works
-        assert sorted(_multiset_length([d * d for d in range(1500)], 1500, 1, None)) == [0, 1]
+        assert sorted(_multiset_length([d * d for d in range(1500)], 1500, 1, None)[0]) == [0, 1]
+
+    def test_a_spent_budget_lists_no_hits(self):
+        cubes = [d**3 for d in range(10)]
+        hits, left = _multiset_length(cubes, 10, 3, None, 10**6)
+        assert sorted(hits) == [153, 370, 371, 407]
+        nodes = 10**6 - left
+        # a negative budget never runs out; it only counts down
+        assert _multiset_length(cubes, 10, 3, None) == (hits, -1 - nodes)
+        assert _multiset_length(cubes, 10, 3, None, nodes) == (hits, 0)
+        assert _multiset_length(cubes, 10, 3, None, nodes - 1) is None
+        # an empty window spends nothing
+        assert _multiset_length(cubes, 10, 3, 99, 0) == ([], 0)
+
+    def test_the_budget_spans_every_length(self):
+        spec = parse_spec("pow:3")
+        hits = _multiset_search(spec, 10, 4, None)
+        nodes = sum(
+            -1 - _multiset_length([d**3 for d in range(10)], 10, m, None)[1] for m in range(1, 5)
+        )
+        assert _multiset_search(spec, 10, 4, None, nodes) == hits
+        assert _multiset_search(spec, 10, 4, None, nodes - 1) is None
+
+
+@st.composite
+def auto_cases(draw):
+    """A catalog F in base 2-16 under either 0^0, with or without n = 0, and a
+    cap, or none where the derived ceiling keeps the scan short."""
+    base = draw(st.integers(2, 16))
+    spec = parse_spec(draw(st.sampled_from(CATALOG_SPEC_TEXTS)))
+    spec = spec.with_zero_self_power(draw(st.sampled_from((0, 1))))
+    cap = draw(st.none() | st.integers(1, 10**6))
+    assume(cap is not None or hardy_bound(spec, base, 1).n_max <= 10**7)
+    return SearchConfig(spec=spec, base=base, cap=cap, include_zero=draw(st.booleans()))
+
+
+class TestAutoEngine:
+    """``auto`` runs the multiset engine within a budget of the scan's work,
+    and the scan when that budget runs out or the blocks are wider than a digit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(auto_cases())
+    def test_equals_scan_and_multiset(self, cfg):
+        auto = search_hardy(cfg)
+        scan = search_hardy(cfg.replace(engine="scan"))
+        multiset = search_hardy(cfg.replace(engine="multiset"))
+        assert auto == scan == multiset
+        assert auto.ceiling == scan.ceiling == multiset.ceiling
+        assert (scan.engine, multiset.engine) == ("scan", "multiset")
+        assert auto.engine in ("scan", "multiset")
+        event(f"auto ran the {auto.engine}")
+
+    @pytest.mark.parametrize(
+        "fn, base, engine",
+        [
+            ("pow:7", 10, "multiset"),
+            ("expbase:5", 10, "multiset"),
+            ("factorial", 10, "multiset"),
+            ("selfpow", 10, "multiset"),
+            ("pow:5", 10, "multiset"),
+            # the multiset engine outgrows its budget: a quarter of the scan's work
+            ("pow:3", 36, "scan"),
+            ("pow:4", 36, "scan"),
+        ],
+    )
+    def test_picks_the_cheaper_engine(self, fn, base, engine):
+        hits = search_hardy(SearchConfig(spec=parse_spec(fn), base=base))
+        assert hits.engine == engine
+        assert hits == search_hardy(SearchConfig(spec=parse_spec(fn), base=base, engine="scan"))
+
+    def test_wide_blocks_go_straight_to_the_scan(self):
+        cfg = SearchConfig(spec=parse_spec("pow:3"), width=2, cap=10**5)
+        hits = search_hardy(cfg)
+        assert hits.engine == "scan"
+        assert hits == search_hardy(cfg.replace(engine="scan"))
+
+    def test_other_searches_name_no_engine(self):
+        assert search_reversal(10, 6).engine is None
+        assert search_armstrong(4).engine is None
 
 
 class TestSearchWells:
@@ -761,7 +840,7 @@ class TestRunSearch:
         for family in ("hardy", "dudeney", "powersum"):
             run_search(family, CorpusEntry(id="e", kind="search", expected=[], fn="pow:2"))
         # hardy's engine is its config's; the digit-sum searches keep their own defaults
-        assert seen == ["scan", None, None]
+        assert seen == ["auto", None, None]
 
     def test_looks_up_the_searches_when_called(self, monkeypatch):
         calls = []
