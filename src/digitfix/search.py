@@ -273,9 +273,9 @@ def reversal_hit(value: int, base: int) -> ReversalHit:
 def _scan_work(radix: int, hi: int) -> int:
     """What a scan below hi costs, in table entries: it builds its table
     once and bisects once per span, a pair of bisections costing about ten
-    entries.  Without a table every value costs about ten."""
+    entries.  Without a table every value costs about one."""
     if radix > _TABLE_SPAN:
-        return 10 * hi
+        return hi
     span = radix ** _table_depth(radix, hi)
     return span + 10 * (hi // span + 1)
 

@@ -472,6 +472,13 @@ class TestAutoEngine:
         assert hits.engine == "scan"
         assert hits == search_hardy(cfg.replace(engine="scan"))
 
+    def test_a_base_above_the_table_span_counts_one_per_value(self):
+        # the multiset engine walks one level per digit, over 2**17 of them
+        cfg = SearchConfig(spec=parse_spec("pow:2"), base=_TABLE_SPAN + 1, cap=10**5)
+        hits = search_hardy(cfg)
+        assert hits.engine == "scan"
+        assert [h.value for h in hits] == [1]
+
     def test_other_searches_name_no_engine(self):
         assert search_reversal(10, 6).engine is None
         assert search_armstrong(4).engine is None
