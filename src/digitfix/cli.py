@@ -16,9 +16,8 @@ The command itself is :func:`run`, which both ``python -m digitfix.cli`` and
 the ``digitfix`` script call: it runs :func:`main` on ``sys.argv``, calls
 ``gc.freeze()`` and leaves through ``sys.exit`` with main's exit code.  The
 freeze spares interpreter shutdown its collections over every object that
-start-up loaded; output is still flushed and atexit handlers still run.
-:func:`main` returns the exit code and never freezes, so tests and other
-in-process callers keep their collector as it was.
+start-up loaded.  :func:`main` returns the exit code and never freezes, so
+tests and other in-process callers keep their collector as it was.
 
 Every search subcommand is built from its entry in
 :data:`digitfix.search.FAMILY_TABLE` (its options and text lines) and goes

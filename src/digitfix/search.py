@@ -32,7 +32,8 @@ and the per-span bisections both cost about sqrt(n_max).
 ``auto``, the default, picks between them without estimating anything: the
 scan's work is known exactly before it starts (its table entries plus ten
 per span, :func:`_scan_work`, about 0.5 us each), while a multiset node
-costs 1.3-3 us and their number is known only by walking them.  So at width
+costs 1.3-3 us (Python 3.11, 2-core x86-64 VM) and their number is known
+only by walking them.  So at width
 1 ``auto`` runs the multiset engine with a budget of a quarter of the scan's
 work in nodes, and runs the scan if that budget runs out first; at other
 widths it runs the scan.  A spent budget has cost about one scan, so
