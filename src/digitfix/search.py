@@ -31,14 +31,15 @@ and the per-span bisections both cost about sqrt(n_max).
 
 ``auto``, the default, picks between them without estimating anything: the
 scan's work is known exactly before it starts (its table entries plus ten
-per span, :func:`_scan_work`, about 0.5 us each), while a multiset node
-costs 1.3-3 us (Python 3.11, 2-core x86-64 VM) and their number is known
-only by walking them.  So at width
-1 ``auto`` runs the multiset engine with a budget of a quarter of the scan's
-work in nodes, and runs the scan if that budget runs out first; at other
-widths it runs the scan.  A spent budget has cost about one scan, so
-``auto`` takes at most about twice as long as the faster engine.  The
-returned :class:`Hits` name the engine that ran.
+per span, :func:`_scan_work`), while the number of multiset nodes is known
+only by walking them.  A node costs about six table entries: 1.2-2.4 us
+against 0.2-0.5 us per entry, measured on bases 10 to 5000 (Python 3.11,
+2-core x86-64 VM).  So at width 1 ``auto`` runs the multiset engine with a
+budget of a sixth of the scan's work in nodes, and runs the scan if that
+budget runs out first; at other widths it runs the scan.  A spent budget
+has cost 0.6-1.2 scans on the bases measured, so ``auto`` stays near
+twice the faster engine; this is measured, not proved.  The returned
+:class:`Hits` name the engine that ran.
 
 Every search runs in one process: a pool's workers would each build the
 same table again.
@@ -494,10 +495,10 @@ def search_hardy(cfg: SearchConfig) -> Hits:
         ceiling = bound.n_max
     engine, budget = cfg.engine, -1
     if engine == "auto":
-        # a multiset node costs about four table entries, so a budget of a
-        # quarter of the scan's work has cost about one scan once it is spent
+        # a multiset node costs about six table entries, so a budget of a
+        # sixth of the scan's work has cost about one scan once it is spent
         engine = "multiset" if cfg.width == 1 else "scan"
-        budget = _scan_work(cfg.base**cfg.width, ceiling + 1) // 4
+        budget = _scan_work(cfg.base**cfg.width, ceiling + 1) // 6
     if engine == "multiset":
         if bound is None:
             length, cap = digit_count(ceiling, cfg.base), ceiling

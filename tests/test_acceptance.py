@@ -168,9 +168,10 @@ def test_criterion_11_engine_equivalence_and_determinism():
             spec = parse_spec(text)
             if hardy_bound(spec, 10, 1).n_max > 10**7:
                 continue
-            scan = values(search_hardy(SearchConfig(spec=spec)))
+            scan = values(search_hardy(SearchConfig(spec=spec, engine="scan")))
             multi = values(search_hardy(SearchConfig(spec=spec, engine="multiset")))
-            assert scan == multi, text
+            auto = values(search_hardy(SearchConfig(spec=spec)))
+            assert scan == multi == auto, text
             checked += 1
         outputs = []
         for jobs in ("1", "2", "8"):

@@ -456,7 +456,7 @@ class TestAutoEngine:
             ("factorial", 10, "multiset"),
             ("selfpow", 10, "multiset"),
             ("pow:5", 10, "multiset"),
-            # the multiset engine outgrows its budget: a quarter of the scan's work
+            # the multiset engine outgrows its budget: a sixth of the scan's work
             ("pow:3", 36, "scan"),
             ("pow:4", 36, "scan"),
         ],
