@@ -142,6 +142,11 @@ def _wells_witnesses(spec: FunctionSpec, base: int, n: int, side: str):
     return tuple(out)
 
 
+def _factorial_cutoff(base: int) -> int:
+    """The least integer above b*e, against a rational upper bound on e."""
+    return (base * _E_HI[0]) // _E_HI[1] + 1
+
+
 def wells_cutoff(spec: FunctionSpec, base: int) -> CutoffReport:
     """Least established N with no n >= N satisfying n = digit_count(F(n)).
 
@@ -170,7 +175,7 @@ def wells_cutoff(spec: FunctionSpec, base: int) -> CutoffReport:
         return CutoffReport(n, "analytic", _wells_witnesses(spec, base, n, "ge"))
 
     if kind == "factorial":
-        n = (base * _E_HI[0]) // _E_HI[1] + 1
+        n = _factorial_cutoff(base)
         return CutoffReport(n, "analytic", _wells_witnesses(spec, base, n, "ge"))
 
     if kind == "subfactorial":

@@ -10,7 +10,8 @@ Subcommands::
 Text mode prints human-readable lines; ``--format records`` emits one compact
 JSON object per line with a stable schema, byte-identical across runs and
 ``--jobs`` values.  Exit codes: 0 success, 1 corpus mismatch, 2 usage or
-configuration error, 3 no finite search bound for the requested function.
+configuration error or a stdout closed early (``digitfix ... | head``), 3 no
+finite search bound for the requested function.
 
 The command itself is :func:`run`, which both ``python -m digitfix.cli`` and
 the ``digitfix`` script call: it runs :func:`main` on ``sys.argv``, calls
@@ -25,7 +26,8 @@ through :func:`digitfix.search.run_search`, which picks the family's search
 and its default engine; the ceiling printed as ``bound_used`` (and in the
 text summary) is the one that search proved and returned with its hits.
 This module parses arguments and renders hits; it derives no ceiling of its
-own on a search path.
+own on a search path.  The ``bound`` subcommands run from one table,
+``_BOUNDS``; a bound's record holds its arguments and its report's fields.
 
 The command line is read against one option table, ``_COMMANDS``.  For each
 ``command subcommand`` pair it lists the help line, the attributes the pair
@@ -150,91 +152,71 @@ def _run_search(args) -> int:
 # -- bound subcommands -----------------------------------------------------------
 
 
-def _run_bound_hardy(args) -> int:
-    spec = parse_spec(args.fn)
-    report = hardy_bound(spec, args.base, args.k)
-    if args.format == "records":
-        print(
-            _record(
-                {
-                    "bound": "hardy",
-                    "base": args.base,
-                    "k": args.k,
-                    "fn": spec.text,
-                    "s_k": report.s_k,
-                    "block_threshold": report.block_threshold,
-                    "n_max": report.n_max,
-                    "justification": list(report.justification),
-                }
-            )
-        )
-        return _EXIT_OK
+def _hardy_lines(report) -> list:
     import re  # only this text path needs it, and it costs every command's start-up
 
-    print(f"block image maximum s = {elide_numeral(report.s_k)}")
-    print(f"block count threshold M = {report.block_threshold}")
-    print(f"search ceiling n_max = {elide_numeral(report.n_max)}")
-    for line in report.justification:
-        print("  " + re.sub(r"\d+", lambda m: elide_numeral(m.group()), line))
-    return _EXIT_OK
+    return [
+        f"block image maximum s = {elide_numeral(report.s_k)}",
+        f"block count threshold M = {report.block_threshold}",
+        f"search ceiling n_max = {elide_numeral(report.n_max)}",
+        *("  " + re.sub(r"\d+", lambda m: elide_numeral(m.group()), line)
+          for line in report.justification),
+    ]
 
 
-def _cutoff_to_record(kind: str, args, spec, report) -> dict:
-    return {
-        "bound": kind,
-        "base": args.base,
-        "fn": spec.text,
-        "cutoff": report.cutoff,
-        "method": report.method,
-        "witnesses": [list(w) for w in report.witnesses],
-    }
-
-
-def _run_bound_wells(args) -> int:
-    spec = parse_spec(args.fn)
-    report = wells_cutoff(spec, args.base)
-    if args.format == "records":
-        print(_record(_cutoff_to_record("wells", args, spec, report)))
-        return _EXIT_OK
-    print(f"no fixed point of digit_count(F(n)) = n at or above {report.cutoff} ({report.method})")
-    for n, lhs, rhs in report.witnesses:
-        print(f"  n = {n}: F(n) = {elide_numeral(lhs, 30)} vs {elide_numeral(rhs, 30)}")
-    return _EXIT_OK
-
-
-def _run_bound_dudeney(args) -> int:
-    spec = parse_spec(args.fn)
-    report = dudeney_cutoff(spec, args.base)
-    if args.format == "records":
-        print(_record(_cutoff_to_record("dudeney", args, spec, report)))
-        return _EXIT_OK
-    print(f"no fixed point of digit_sum(F(n)) = n at or above {report.cutoff} ({report.method})")
-    for n, lhs, rhs in report.witnesses[:4]:
-        print(f"  n = {n}: n = {lhs} vs (b-1)*digits(F(n)) = {rhs}")
-    return _EXIT_OK
-
-
-def _run_bound_powersum(args) -> int:
-    spec = parse_spec(args.fn)
+def _powersum_bound(spec, base: int):
     if spec.kind != "power":
         raise ConfigurationError("power-sum bound takes --fn pow:P for the exponent")
-    bound = powersum_bound(spec.exponent, args.base)
+    return powersum_bound(spec.exponent, base)
+
+
+# bound kind -> (help, its derivation, the arguments that follow the spec, the
+# text lines of its report); each derivation looks its function up when it runs
+_BOUNDS = {
+    "hardy": (
+        "the block-sum ceiling of search hardy",
+        lambda spec, base, k: hardy_bound(spec, base, k), ("base", "k"), _hardy_lines,
+    ),
+    "wells": (
+        "the digit-count cutoff of search wells",
+        lambda spec, base: wells_cutoff(spec, base), ("base",),
+        lambda r: [
+            f"no fixed point of digit_count(F(n)) = n at or above {r.cutoff} ({r.method})",
+            *(f"  n = {n}: F(n) = {elide_numeral(lhs, 30)} vs {elide_numeral(rhs, 30)}"
+              for n, lhs, rhs in r.witnesses),
+        ],
+    ),
+    "dudeney": (
+        "the digit-sum cutoff of search dudeney",
+        lambda spec, base: dudeney_cutoff(spec, base), ("base",),
+        lambda r: [
+            f"no fixed point of digit_sum(F(n)) = n at or above {r.cutoff} ({r.method})",
+            *(f"  n = {n}: n = {lhs} vs (b-1)*digits(F(n)) = {rhs}"
+              for n, lhs, rhs in r.witnesses[:4]),
+        ],
+    ),
+    "powersum": (
+        "the largest admissible digit sum of search powersum", _powersum_bound, ("base",),
+        lambda r: [
+            f"coarse ceiling b^(p*p) = {elide_numeral(r.coarse, 40)}",
+            f"largest admissible digit sum s_max = {r.s_max}",
+            f"every fixed point is s^p for s <= {r.s_max}",
+        ],
+    ),
+}
+
+
+def _run_bound(args) -> int:
+    _, derivation, arguments, lines = _BOUNDS[args.bound_kind]
+    spec = parse_spec(args.fn)
+    values = {name: getattr(args, name) for name in arguments}
+    report = derivation(spec, *values.values())
     if args.format == "records":
-        print(
-            _record(
-                {
-                    "bound": "powersum",
-                    "base": args.base,
-                    "fn": spec.text,
-                    "coarse": bound.coarse,
-                    "s_max": bound.s_max,
-                }
-            )
-        )
-        return _EXIT_OK
-    print(f"coarse ceiling b^(p*p) = {elide_numeral(bound.coarse, 40)}")
-    print(f"largest admissible digit sum s_max = {bound.s_max}")
-    print(f"every fixed point is s^p for s <= {bound.s_max}")
+        fields = {name: getattr(report, name) for name in report.__slots__}
+        print(_record({"bound": args.bound_kind, "fn": spec.text, **values, **fields}))
+    else:
+        for line in lines(report):
+            print(line)
     return _EXIT_OK
 
 
@@ -442,22 +424,13 @@ def _search_command(family) -> tuple:
 # (command, subcommand) -> (help, attribute defaults, options), in help order
 _COMMANDS = {
     **{("search", name): _search_command(entry) for name, entry in FAMILY_TABLE.items()},
-    ("bound", "hardy"): (
-        "the block-sum ceiling of search hardy", {"run": _run_bound_hardy},
-        (_BASE, _FN, _FORMAT, _JOBS, _K),
-    ),
-    ("bound", "wells"): (
-        "the digit-count cutoff of search wells", {"run": _run_bound_wells},
-        (_BASE, _FN, _FORMAT, _JOBS),
-    ),
-    ("bound", "dudeney"): (
-        "the digit-sum cutoff of search dudeney", {"run": _run_bound_dudeney},
-        (_BASE, _FN, _FORMAT, _JOBS),
-    ),
-    ("bound", "powersum"): (
-        "the largest admissible digit sum of search powersum", {"run": _run_bound_powersum},
-        (_BASE, _FN, _FORMAT, _JOBS),
-    ),
+    **{
+        ("bound", kind): (
+            help_text, {"run": _run_bound},
+            (_BASE, _FN, _FORMAT, _JOBS, *(_FIELD_OPTIONS[a] for a in arguments if a != "base")),
+        )
+        for kind, (help_text, _, arguments, _) in _BOUNDS.items()
+    },
     ("family", "piezas"): (
         "Fermat-prime concatenated-square pair", {"run": _run_family_piezas},
         (
@@ -733,10 +706,17 @@ def run() -> None:
     ``gc.freeze()`` moves every live object into the permanent generation,
     which the collections of interpreter shutdown never walk, so a cycle
     still alive then is not finalized: no command leaves an open file in
-    one.  ``sys.exit`` still flushes the output, reports a failed flush and
-    runs the atexit handlers.
+    one.  ``sys.exit`` still reports a failed flush and runs the atexit
+    handlers.  A closed stdout exits 2 with one error line; pointing its
+    descriptor at ``os.devnull`` drops the output still buffered.
     """
-    status = main()
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        status = _EXIT_USAGE
     gc.freeze()
     sys.exit(status)
 

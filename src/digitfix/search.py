@@ -81,6 +81,7 @@ from types import SimpleNamespace
 from ._record import Record
 from .bounds import (
     _digit_length_threshold,
+    _factorial_cutoff,
     dudeney_cutoff,
     hardy_bound,
     powersum_bound,
@@ -141,8 +142,6 @@ class SearchConfig(Record):
             raise ConfigurationError(f"numeral base must be at least 2, got {base}")
         if width < 1:
             raise ConfigurationError(f"block width must be at least 1, got {width}")
-        if engine == "preimage":
-            raise ConfigurationError("the preimage engine applies to digit-sum searches only")
         if engine not in ("auto", "scan", "multiset"):
             raise ConfigurationError(f"unknown engine {engine!r}")
         if engine == "multiset" and width != 1:
@@ -183,12 +182,13 @@ class Hits(list):
     """A search's hits in ascending order, the ceiling the search proved, and
     the engine that ran.
 
-    ``ceiling`` is the cap when one was given, else the derived bound: the
-    block-sum ceiling n_max (hardy), the top order searched (armstrong), the
-    cutoff (wells, and dudeney's scan), s_max (dudeney's preimage engine),
-    min(s_max**p, cap) (powersum), base**digits - 1 (reversal).  ``engine``
-    is "scan" or "multiset" for a hardy search, also when ``auto`` chose it,
-    and None for the other families.
+    ``ceiling`` is the largest value (or order) the search covers, inclusive:
+    the cap when one was given, else the derived bound: the block-sum ceiling
+    n_max (hardy), the top order searched (armstrong), the cutoff - 1 (wells,
+    dudeney), min(s_max**p, cap) (powersum), base**digits - 1 (reversal).
+    The search finds every hit at or below it; without a cap none lies above
+    it.  ``engine`` is "scan" or "multiset" for a hardy search, also when
+    ``auto`` chose it, and None for the other families.
     """
 
     def __init__(self, hits, ceiling: int, engine: str | None = None) -> None:
@@ -547,21 +547,40 @@ def search_armstrong(base: int, max_order: int | None = None) -> Hits:
     return Hits(hits, top)
 
 
+def _last_walked(cap: int | None, threshold, cutoff) -> tuple[int, int]:
+    """The ceiling of a wells or dudeney search, the cap or else cutoff() - 1,
+    and the last n it walks, the smaller of the two.  A capped search derives
+    its cutoff only once the cap reaches threshold(), below which the walk to
+    the cap costs less, and walks to the cap where the cutoff cannot be derived."""
+    if cap is None:
+        last = cutoff() - 1
+        return last, last
+    if cap < 1:
+        raise ConfigurationError(f"cap must be at least 1, got {cap}")
+    try:
+        if cap >= threshold():
+            return cap, min(cap, cutoff() - 1)
+    except (UnsupportedFunctionError, ValueError):
+        pass
+    return cap, cap
+
+
 def search_wells(
     spec: FunctionSpec, base: int, cap: int | None = None, include_zero: bool = False
 ) -> Hits:
-    """All n below the cutoff (or up to cap) with digit_count(F(n)) == n."""
-    if cap is None:
-        ceiling = n_hi = wells_cutoff(spec, base).cutoff
-    elif cap < 1:
-        raise ConfigurationError(f"cap must be at least 1, got {cap}")
-    else:
-        ceiling, n_hi = cap, cap + 1
+    """All n up to the cap, else below :func:`wells_cutoff`, with
+    digit_count(F(n)) == n.  A capped walk stops at the cutoff too once the
+    cap reaches factorial's cutoff, the least integer above e*b: deriving the
+    factorial and subfactorial cutoffs evaluates F near there, so a smaller
+    cap walks less without them."""
+    ceiling, last = _last_walked(
+        cap, lambda: _factorial_cutoff(base), lambda: wells_cutoff(spec, base).cutoff
+    )
     values = []
     if include_zero and _zero_image(spec) == 0:
         values.append(0)
     power = 1  # base**(n-1), advanced alongside n
-    for n in range(1, n_hi):
+    for n in range(1, last + 1):
         fn = evaluate(spec, n)
         if power <= fn < power * base:
             values.append(n)
@@ -597,38 +616,22 @@ def search_dudeney(
     engine: str = "scan",
     include_zero: bool = False,
 ) -> Hits:
-    """All n below the cutoff (or up to cap) with digit_sum(F(n)) == n.
+    """All n up to the cap, else below :func:`dudeney_cutoff`, with
+    digit_sum(F(n)) == n.  A capped walk stops at the cutoff too once the cap
+    reaches the digit-length threshold: deriving the cutoff scans F below it.
 
-    The ``preimage`` engine is the power-kind shortcut: candidates are capped
-    by the largest admissible digit sum from :func:`powersum_bound`, which for
-    a pure power coincides with the digit-sum cutoff.  A capped scan of a
-    polynomial F stops at the cutoff too, but reports the cap as its ceiling.
+    Both engine names run this walk; for a pure power its cutoff is the
+    s_max + 1 of :func:`powersum_bound`, which the ``preimage`` name recalls.
     """
     if engine not in ("scan", "preimage"):
         raise ConfigurationError(f"unknown digit-sum engine {engine!r}")
-    if cap is not None and cap < 1:
-        raise ConfigurationError(f"cap must be at least 1, got {cap}")
-    if engine == "preimage":
-        if spec.kind != "power":
-            raise ConfigurationError("the preimage engine needs a pure power function")
-        s_max = powersum_bound(spec.exponent, base).s_max
-        ceiling = s_max if cap is None else cap
-        n_hi = min(s_max, ceiling) + 1
-    elif cap is not None:
-        ceiling, n_hi = cap, cap + 1
-        # no n at or above the cutoff is a hit; deriving it scans F below the
-        # digit-length threshold, so a cap below that walks less without it
-        try:
-            if cap >= _digit_length_threshold(spec, base):
-                n_hi = min(n_hi, dudeney_cutoff(spec, base).cutoff)
-        except UnsupportedFunctionError:
-            pass
-    else:
-        ceiling = n_hi = dudeney_cutoff(spec, base).cutoff
+    ceiling, last = _last_walked(
+        cap, lambda: _digit_length_threshold(spec, base), lambda: dudeney_cutoff(spec, base).cutoff
+    )
     values = []
     if include_zero and _zero_image(spec) == 0:
         values.append(0)
-    for n in range(1, n_hi):
+    for n in range(1, last + 1):
         if digit_sum(evaluate(spec, n), base) == n:
             values.append(n)
     return Hits([dudeney_hit(v, base, spec) for v in values], ceiling)

@@ -66,6 +66,37 @@ def oracle_powersum(lo: int, hi: int, p: int, base: int) -> list[int]:
     return hits
 
 
+def _zero_is_a_hit(spec) -> bool:
+    """n = 0 reads as a number with no digits, so it is a wells or dudeney hit
+    exactly when F(0) = 0; a function without a value at 0 has no such hit."""
+    try:
+        return spec(0) == 0
+    except ValueError:
+        return False
+
+
+def oracle_wells(spec, base: int, top: int, include_zero: bool = False) -> list[int]:
+    """Every n in [1, top] whose F(n) has exactly n digits, ascending, after 0
+    when include_zero asks for it; digits are counted by long division, one
+    value at a time, so an image of 0 has none."""
+    hits = [0] if include_zero and _zero_is_a_hit(spec) else []
+    for n in range(1, top + 1):
+        image, count = spec(n), 0
+        while image and count <= n:
+            image //= base
+            count += 1
+        if count == n:
+            hits.append(n)
+    return hits
+
+
+def oracle_dudeney(spec, base: int, top: int, include_zero: bool = False) -> list[int]:
+    """Every n in [1, top] equal to the digit sum of F(n), ascending, after 0
+    when include_zero asks for it, one value at a time."""
+    hits = [0] if include_zero and _zero_is_a_hit(spec) else []
+    return hits + [n for n in range(1, top + 1) if oracle_digit_sum(spec(n), base) == n]
+
+
 def oracle_floor_log(n: int, base: int) -> int:
     """Largest e with base**e <= n, for n >= 1, by repeated squaring and long division.
 

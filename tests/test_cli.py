@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitfix.bounds import BoundReport, CutoffReport, PowerSumBound
 from digitfix.cli import main
 from digitfix.search import Hits
 
@@ -46,15 +47,12 @@ def callees(monkeypatch, argv):
 
         monkeypatch.setattr(cli, name, record)
 
-    report = SimpleNamespace(
-        s_k=0, block_threshold=0, n_max=0, justification=(), cutoff=0, method="stub",
-        witnesses=(), coarse=0, s_max=0,
-    )
     stub("run_search", Hits([], 0),
          lambda family, p: (family, tuple(getattr(p, f, "absent") for f in _PARAM_FIELDS)))
-    for name in ("hardy_bound", "wells_cutoff", "dudeney_cutoff"):
-        stub(name, report, lambda spec, *rest: (spec.text, *rest))
-    stub("powersum_bound", report)
+    stub("hardy_bound", BoundReport(0, 0, 0, ()), lambda spec, *rest: (spec.text, *rest))
+    for name in ("wells_cutoff", "dudeney_cutoff"):
+        stub(name, CutoffReport(0, "stub", ()), lambda spec, *rest: (spec.text, *rest))
+    stub("powersum_bound", PowerSumBound(0, 0))
     stub("piezas_numerals", ("1", "2", 3))
     stub("vitalis_generate", (1, 2, 3, 4))
     stub("corpus_check", SimpleNamespace(results=(), mismatches=()))
@@ -173,14 +171,23 @@ class TestSearchCommands:
         assert code == 0
         assert [r["value"] for r in records(out)] == [1, 3435, 438579088]
 
-    @pytest.mark.parametrize("cap", [[], ["--cap", "100"]])
-    def test_preimage_dudeney_needs_power_fn(self, capsys, cap):
-        code, out, err = run(
-            capsys, "search", "dudeney", "--fn", "factorial", "--engine", "preimage", *cap
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "error: the preimage engine needs a pure power function\n"
+    def test_preimage_dudeney_runs_the_scan_for_any_fn(self, capsys):
+        # both engine names run one walk: capped, factorial finds its hits;
+        # uncapped, it has no digit-sum cutoff
+        argv = ("search", "dudeney", "--fn", "factorial")
+        capped = run(capsys, *argv, "--engine", "preimage", "--cap", "100")
+        assert capped == run(capsys, *argv, "--cap", "100")
+        assert capped[0] == 0 and capped[1].endswith("2 hit(s), search ceiling 100\n")
+        code, out, err = run(capsys, *argv, "--engine", "preimage")
+        assert (code, out) == (3, "")
+        assert err == "error: factorial grows too fast for a digit-sum cutoff; supply a cap\n"
+
+    def test_capped_wells_walks_to_the_cap_where_no_cutoff_is_derived(self, capsys):
+        # deriving the cutoff of F(n) = 2 - n evaluates F(3) = -1, which is no
+        # natural number; a cap of 1 never needs it
+        code, out, err = run(capsys, "search", "wells", "--fn", "poly:-1,2", "--cap", "1")
+        assert (code, err) == (0, "")
+        assert out == "1: F(1) has 1 digit(s)\n1 hit(s), search ceiling 1\n"
 
     @pytest.mark.parametrize("order", ["-3", "0", "1"])
     def test_armstrong_max_order_below_two_exits_two(self, capsys, order):
@@ -202,12 +209,12 @@ GOLDEN = [
     ("search hardy --fn selfpow --engine multiset --zero-pow-zero 0", "records", 0, "c64038bb2a47361792ca4d2b6595c948c542f3d2f978ab88898b62e8b1d7a596"),
     ("search armstrong --base 4", "text", 0, "71d14ecba89932b66a32551f554fd60426f4f96d87406bbeab38e0aa30947218"),
     ("search armstrong --base 4", "records", 0, "4359bae74fb3c35951e8ec7c101ed84c91e59036f4d07d01c5bd951c9d9965ee"),
-    ("search wells --fn factorial", "text", 0, "35b4b54f31ff24a387318f23029e1a1be597a1b2d59497f4c9930562cd1df3bc"),
-    ("search wells --fn factorial", "records", 0, "dbcc343f49cc28f135ecd68ef5543a3a34e5666665da504b0ed7f7a1f691a64c"),
+    ("search wells --fn factorial", "text", 0, "1bd93017484bf05397d93474f54a1ed282fccaf1a4093d9f83ed6dc4ed2e4814"),
+    ("search wells --fn factorial", "records", 0, "007706ea7a36f5f6075d7dba24cfc33c1b7594fbef318ab992ab2a3dfc6adf60"),
     ("search wells-reverse --fn pow:5 --cap 100000", "text", 0, "2f764ecd9882998a624d17a2dc57d1f2722f895da809f8ec99358bad0748c4ee"),
     ("search wells-reverse --fn pow:5 --cap 100000", "records", 0, "c74e1d825b7293418943f23277fc950bf90ba707f09ee1f955a1ca8b286c7e97"),
-    ("search dudeney --fn pow:3", "text", 0, "9e9145d1c637390274e767c89ce7ad6a520e246a4089d81d3b2e6802e300ce59"),
-    ("search dudeney --fn pow:3", "records", 0, "faf680dc3c09d0bb14050f484dc8f265edc25635b3d894aa8b4d857e2a1c1091"),
+    ("search dudeney --fn pow:3", "text", 0, "ab11c912f4bbdd17cc0cab06f572a722fb6ab7480e49b3b61f9d7e53b9fe60c4"),
+    ("search dudeney --fn pow:3", "records", 0, "bef8770cbad7730da70e29c41ea2ecb824e2b6d933357e8fccec02e87f93e17f"),
     ("search dudeney --fn pow:3 --engine preimage --cap 20", "text", 0, "17f49f872c9336c3bb373ad69b4a46676d011db4b2e3d9a7facf97b2a4b1e2bc"),
     ("search dudeney --fn pow:3 --engine preimage --cap 20", "records", 0, "42a424a30367af056ac04005ca1e9568b75dc231cfd1c1994f62b83ad1702d9f"),
     ("search powersum --fn pow:3 --engine scan", "text", 0, "29029fc468300e9c543dc88e58987f953265cae47f17c63b948b9a931df83450"),
@@ -736,14 +743,14 @@ class TestEntryPoint:
     the objects start-up loaded, then ``sys.exit``."""
 
     @staticmethod
-    def command(*argv):
+    def command(*argv, stdout=subprocess.PIPE):
         import digitfix
 
         src = os.path.dirname(os.path.dirname(digitfix.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         return subprocess.run(
             [sys.executable, "-m", "digitfix.cli", *argv],
-            env=env, capture_output=True, timeout=60,
+            env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60,
         )
 
     def test_main_freezes_nothing(self, capsys):
@@ -766,6 +773,26 @@ class TestEntryPoint:
         assert in_process[0] == code
         result = self.command(*argv)
         assert (result.returncode, result.stdout.decode(), result.stderr.decode()) == in_process
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 754 records, about 110 kB: the pipe breaks while main still prints
+            ["search", "reversal", "--digits", "30", "--format", "records"],
+            # two short records, still buffered when main returns: it breaks at the flush
+            ["search", "hardy", "--fn", "pow:3", "--k", "2", "--cap", "500", "--format", "records"],
+        ],
+    )
+    def test_closed_stdout_exits_two_with_one_line(self, argv):
+        # as `digitfix ... | head` once head has exited: the reader is gone
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self.command(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr == b"error: stdout was closed before the output was written\n"
 
     def test_module_writes_every_byte_of_a_large_record(self):
         # 360 kB on stdout, still buffered when main returns; the digests
@@ -877,7 +904,7 @@ class TestHugeIntegers:
         assert [r["value"] for r in recs] == [1, *range(4992, 5000)]
         assert all(r["decomposition"] == [r["value"] ** r["value"]] for r in recs)
         code, out, _ = run(capsys, "search", "wells", "--fn", "selfpow", "--base", "5000")
-        assert code == 0 and "9 hit(s), search ceiling 5000" in out
+        assert code == 0 and "9 hit(s), search ceiling 4999" in out
 
     def test_bound_wells_selfpow_base_5000(self, capsys):
         (rec,) = self.huge_records(capsys, "bound", "wells", "--fn", "selfpow", "--base", "5000")

@@ -47,10 +47,12 @@ from conftest import (
     oracle_block_fsum,
     oracle_chunk_hits,
     oracle_digit_sum,
+    oracle_dudeney,
     oracle_hardy,
     oracle_multiset_length,
     oracle_powersum,
     oracle_reversal,
+    oracle_wells,
 )
 
 
@@ -179,7 +181,7 @@ class TestSearchHardy:
         # invalid engines are refused when the config is built, not when it runs
         with pytest.raises(ConfigurationError, match="the multiset engine requires block width 1"):
             SearchConfig(spec=spec, engine="multiset", width=2)
-        with pytest.raises(ConfigurationError, match="preimage engine applies to digit-sum"):
+        with pytest.raises(ConfigurationError, match="unknown engine 'preimage'"):
             SearchConfig(spec=spec, engine="preimage")
         with pytest.raises(ConfigurationError, match="unknown engine 'bogus'"):
             SearchConfig(spec=spec, engine="bogus")
@@ -498,6 +500,96 @@ class TestSearchWells:
         assert values(search_wells(FunctionSpec.factorial(), 10, cap=23)) == [1, 22, 23]
 
 
+@st.composite
+def walk_cases(draw):
+    """A wells or dudeney search: a base, a catalog function and a cap near its
+    cutoff, ten times the cutoff, or none; without a cutoff, a small cap."""
+    family = draw(st.sampled_from(["wells", "dudeney"]))
+    fn = draw(st.sampled_from([*CATALOG_SPEC_TEXTS, "fib"]))
+    base = draw(st.integers(2, 16))
+    cap_at = draw(st.sampled_from([None, -2, -1, 0, 1, 2, "10x"]))
+    return family, fn, base, cap_at, draw(st.integers(1, 100)), draw(st.booleans())
+
+
+class TestWalksMatchTheOracles:
+    """search_wells and search_dudeney against per-value oracles that walk
+    every n up to the ceiling, past the cutoff where a cap lies beyond it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=walk_cases(), engine=st.sampled_from(["scan", "preimage"]))
+    def test_hits_and_ceiling(self, case, engine):
+        family, fn, base, cap_at, small_cap, include_zero = case
+        spec = parse_spec(fn)
+        if family == "wells":
+            derive, oracle, search, rest = wells_cutoff, oracle_wells, search_wells, ()
+        else:
+            derive, oracle, search, rest = dudeney_cutoff, oracle_dudeney, search_dudeney, (engine,)
+        try:
+            cutoff = derive(spec, base).cutoff
+        except UnsupportedFunctionError:
+            # no cutoff: only a capped search runs, and it walks to the cap
+            event(f"{family}: no cutoff")
+            with pytest.raises(UnsupportedFunctionError):
+                search(spec, base, None, *rest, include_zero)
+            cap = small_cap
+        else:
+            if cap_at is None:
+                cap = None
+            elif cap_at == "10x":
+                cap = 10 * cutoff
+            else:
+                cap = max(1, cutoff + cap_at)
+        hits = search(spec, base, cap, *rest, include_zero)
+        top = cutoff - 1 if cap is None else cap
+        assert values(hits) == oracle(spec, base, top, include_zero)
+        assert hits.ceiling == top
+
+    def test_capped_walks_stop_at_the_cutoff(self, monkeypatch):
+        # the cutoffs are 28 and 55: caps far above them walk no further
+        walked = []
+
+        def spy(spec, n):
+            walked.append(n)
+            return evaluate(spec, n)
+
+        monkeypatch.setattr(digitfix.search, "evaluate", spy)
+        factorial, cube = parse_spec("factorial"), parse_spec("pow:3")
+        capped = search_wells(factorial, 10, 20000)
+        assert values(capped) == [1, 22, 23, 24] and capped.ceiling == 20000
+        assert max(walked) == 27
+        walked.clear()
+        capped = search_dudeney(cube, 10, 2 * 10**6)
+        assert values(capped) == [1, 8, 17, 18, 26, 27] and capped.ceiling == 2 * 10**6
+        assert max(walked) == 54
+
+    def test_a_cap_below_the_threshold_derives_no_cutoff(self, monkeypatch):
+        # the wells threshold is factorial's cutoff, 271 829 in base 10**5 and
+        # 272 in base 100, where subfactorial's cutoff scans !n from n = 100
+        # up; pow:3's digit-sum threshold in base 5000 is 25 * 10**6: a cap
+        # below either, even one above the base, walks to the cap alone
+        def refuse(*args):
+            raise AssertionError("derived a cutoff")
+
+        monkeypatch.setattr(digitfix.search, "wells_cutoff", refuse)
+        monkeypatch.setattr(digitfix.search, "dudeney_cutoff", refuse)
+        hits = search_wells(parse_spec("factorial"), 10**5, 5)
+        assert values(hits) == [1] and hits.ceiling == 5
+        spec = parse_spec("subfactorial")
+        hits = search_wells(spec, 100, 200)
+        assert values(hits) == oracle_wells(spec, 100, 200) and hits.ceiling == 200
+        hits = search_dudeney(parse_spec("pow:3"), 5000, 10)
+        assert values(hits) == [1] and hits.ceiling == 10
+
+    def test_capped_wells_without_a_cutoff_walks_to_the_cap(self):
+        # deriving the base-2 cutoff of F(n) = 7 - n evaluates F(8) = -1, no
+        # natural number; the walk to the cap 7, above the threshold 6, never does
+        spec = parse_spec("poly:-1,7")
+        with pytest.raises(ValueError, match="not a natural number"):
+            wells_cutoff(spec, 2)
+        hits = search_wells(spec, 2, 7)
+        assert values(hits) == [3] == oracle_wells(spec, 2, 7) and hits.ceiling == 7
+
+
 class TestSearchWellsReverse:
     def test_fifth_power(self):
         got = values(search_wells_reverse(parse_spec("pow:5"), 10, 100000))
@@ -539,8 +631,8 @@ class TestSearchDudeney:
             search_dudeney(parse_spec("fib"), 10)
 
     def test_preimage_engine_matches_scan(self):
-        # for a pure power the digit-sum cutoff is s_max + 1, so both engines
-        # visit the same n; the preimage engine reports s_max, the scan the cutoff
+        # for a pure power the digit-sum cutoff is s_max + 1, and both engine
+        # names run the one walk below it
         for p in range(2, 9):
             spec = parse_spec(f"pow:{p}")
             for base in range(2, 37):
@@ -548,7 +640,7 @@ class TestSearchDudeney:
                 assert dudeney_cutoff(spec, base).cutoff == s_max + 1, (p, base)
                 pre = search_dudeney(spec, base, engine="preimage")
                 scan = search_dudeney(spec, base, engine="scan")
-                assert pre == scan and pre.ceiling == scan.ceiling - 1 == s_max, (p, base)
+                assert pre == scan and pre.ceiling == scan.ceiling == s_max, (p, base)
 
     def test_capped_scan_stops_at_the_cutoff(self):
         # no n at or above the cutoff (55) can be a hit, so a cap far above it
@@ -560,9 +652,15 @@ class TestSearchDudeney:
         # a cap below the cutoff still bounds the walk
         assert values(search_dudeney(spec, 10, cap=20)) == [1, 8, 17, 18]
 
-    def test_preimage_needs_power_kind(self):
-        with pytest.raises(ConfigurationError):
-            search_dudeney(parse_spec("factorial"), 10, cap=50, engine="preimage")
+    def test_preimage_runs_the_scan_for_any_kind(self):
+        factorial = parse_spec("factorial")
+        pre = search_dudeney(factorial, 10, cap=50, engine="preimage")
+        assert pre == search_dudeney(factorial, 10, cap=50) and pre.ceiling == 50
+        assert values(pre) == [1, 2]
+        with pytest.raises(UnsupportedFunctionError):
+            search_dudeney(factorial, 10, engine="preimage")
+        with pytest.raises(ConfigurationError, match="unknown digit-sum engine 'multiset'"):
+            search_dudeney(factorial, 10, cap=50, engine="multiset")
 
 
 class TestSearchPowersum:
@@ -764,8 +862,9 @@ F3 = parse_spec("pow:3")
 
 
 class TestCeilings:
-    """Each search returns, with its hits, the ceiling it proved: the cap when
-    one was given, else the derived bound that the search itself used."""
+    """Each search returns, with its hits, the ceiling it proved: the largest
+    value (or order) it covered, inclusive; the cap when one was given, else
+    the derived bound that the search itself used."""
 
     @pytest.mark.parametrize(
         "search, ceiling",
@@ -779,10 +878,11 @@ class TestCeilings:
             (lambda: search_armstrong(10, 5), 5),
             (lambda: search_armstrong(3, 50), armstrong_order_ceiling(3) - 1),
             (lambda: search_wells(parse_spec("factorial"), 10),
-             wells_cutoff(parse_spec("factorial"), 10).cutoff),
+             wells_cutoff(parse_spec("factorial"), 10).cutoff - 1),
             (lambda: search_wells(parse_spec("factorial"), 10, 23), 23),
+            (lambda: search_wells(parse_spec("factorial"), 10, 20000), 20000),
             (lambda: search_wells_reverse(parse_spec("pow:5"), 10, 100000), 100000),
-            (lambda: search_dudeney(F3, 10), dudeney_cutoff(F3, 10).cutoff),
+            (lambda: search_dudeney(F3, 10), dudeney_cutoff(F3, 10).cutoff - 1),
             (lambda: search_dudeney(F3, 10, 20), 20),
             (lambda: search_dudeney(F3, 10, engine="preimage"), powersum_bound(3, 10).s_max),
             (lambda: search_dudeney(F3, 10, 100, engine="preimage"), 100),
