@@ -10,8 +10,9 @@ Subcommands::
 Text mode prints human-readable lines; ``--format records`` emits one compact
 JSON object per line with a stable schema, byte-identical across runs and
 ``--jobs`` values.  Exit codes: 0 success, 1 corpus mismatch, 2 usage or
-configuration error or a stdout closed early (``digitfix ... | head``), 3 no
-finite search bound for the requested function.
+configuration error, a stdout closed early (``digitfix ... | head``) or one
+that cannot take the output (a full disk), 3 no finite search bound for the
+requested function.
 
 The command itself is :func:`run`, which both ``python -m digitfix.cli`` and
 the ``digitfix`` script call: it runs :func:`main` on ``sys.argv``, calls
@@ -700,6 +701,32 @@ def main(argv=None) -> int:
         return _EXIT_USAGE
 
 
+class _Stdout:
+    """stdout as :func:`run` hands it to :func:`main`.  It keeps the
+    ``OSError`` that a write or flush raised, so that :func:`run` can tell a
+    stdout that cannot take the output from any other ``OSError``."""
+
+    def __init__(self, stream) -> None:
+        self.stream = stream
+        self.error = None
+
+    def __getattr__(self, name: str):
+        return getattr(self.stream, name)
+
+    def _keep_error(self, call, *args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            self.error = exc
+            raise
+
+    def write(self, text: str) -> int:
+        return self._keep_error(self.stream.write, text)
+
+    def flush(self) -> None:
+        self._keep_error(self.stream.flush)
+
+
 def run() -> None:
     """The command: :func:`main` on ``sys.argv``, then exit with its code.
 
@@ -707,15 +734,28 @@ def run() -> None:
     which the collections of interpreter shutdown never walk, so a cycle
     still alive then is not finalized: no command leaves an open file in
     one.  ``sys.exit`` still reports a failed flush and runs the atexit
-    handlers.  A closed stdout exits 2 with one error line; pointing its
-    descriptor at ``os.devnull`` drops the output still buffered.
+    handlers.  A stdout closed before the start (``digitfix ... >&-``) or
+    early (``digitfix ... | head``), or one that cannot take the output (a
+    full disk), exits 2 with one error line; pointing its descriptor at
+    ``os.devnull`` drops the output still buffered.  Any other ``OSError``
+    propagates.
     """
+    closed = "error: stdout was closed before the output was written"
+    if sys.stdout is None:  # descriptor 1 was closed at start
+        print(closed, file=sys.stderr)
+        sys.exit(_EXIT_USAGE)
+    sys.stdout = stdout = _Stdout(sys.stdout)
     try:
         status = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the output was written", file=sys.stderr)
+        stdout.flush()
+    except OSError as exc:
+        if exc is not stdout.error:
+            raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            print(closed, file=sys.stderr)
+        else:
+            print(f"error: stdout cannot take the output: {exc}", file=sys.stderr)
         status = _EXIT_USAGE
     gc.freeze()
     sys.exit(status)

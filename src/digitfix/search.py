@@ -58,6 +58,11 @@ counts the paths through the live states, one addition per move, and
 refuses to list more than 100 000 (``search reversal --digits 200`` has
 about 4 * 10**20).
 
+Two families are images of others.  The wells-reverse hits, n =
+F(digit_count(n)), are the images F(m) of the wells hits m, and the
+power-sum hits, n = digit_sum(n)**p, are the p-th powers of the dudeney
+hits for pow:p; each runs that search and keeps the images up to its cap.
+
 Every hit re-verifies its defining equation from raw digits when the hit
 record is constructed; nothing is trusted from search state.  Each search
 returns its hits in ascending order as :class:`Hits`, a list that also
@@ -84,7 +89,6 @@ from .bounds import (
     _factorial_cutoff,
     dudeney_cutoff,
     hardy_bound,
-    powersum_bound,
     wells_cutoff,
 )
 from .digitops import digit_count, digit_sum, group_blocks, reverse_digits
@@ -217,12 +221,11 @@ def armstrong_hit(value: int, base: int, order: int) -> SearchHit:
 
 def wells_hit(value: int, base: int, spec: FunctionSpec) -> SearchHit:
     image = evaluate(spec, value)
-    # value 0 uses the zero-digit reading of zero: a hit exactly when F(0) = 0
-    if value == 0:
-        if image != 0:
-            raise ValueError("0 is a count fixed point only when F(0) = 0")
-    elif digit_count(image, base) != value:
-        raise ValueError(f"digit_count(F({value})) = {digit_count(image, base)} != {value}")
+    # zero has no digits here, as in the walk: 0 is a hit exactly when F(0) = 0,
+    # and an n >= 1 with F(n) = 0 never is
+    count = digit_count(image, base) if image else 0
+    if count != value:
+        raise ValueError(f"digit_count(F({value})) = {count} != {value}")
     return SearchHit(value, group_blocks(value, base, 1), (image,), "wells", spec.text)
 
 
@@ -591,22 +594,15 @@ def search_wells(
 def search_wells_reverse(
     spec: FunctionSpec, base: int, cap: int, include_zero: bool = False
 ) -> Hits:
-    """All n <= cap with n = F(digit_count(n)).
-
-    At most one candidate exists per digit length, so the cap alone makes the
-    search finite: check F(length) for each length the cap admits.
-    """
+    """All n <= cap with n = F(digit_count(n)): the images F(m) <= cap of the
+    hits m of :func:`search_wells`, as F(m) has m digits exactly when
+    m = digit_count(F(m)).  No hit has more digits than the cap, so the walk
+    stops at digit_count(cap); an image of 0, which has no digits, is no hit."""
     if cap is None or cap < 1:
         raise ConfigurationError("an explicit cap >= 1 is required")
-    values = []
-    if include_zero and _zero_image(spec) == 0:
-        values.append(0)
-    for length in range(1, digit_count(cap, base) + 1):
-        v = evaluate(spec, length)
-        if v <= cap and digit_count(v, base) == length:
-            values.append(v)
-    values.sort()
-    return Hits([wells_reverse_hit(v, base, spec) for v in values], cap)
+    roots = search_wells(spec, base, digit_count(cap, base), include_zero)
+    images = [h.images[0] for h in roots]
+    return Hits([wells_reverse_hit(v, base, spec) for v in images if v <= cap], cap)
 
 
 def search_dudeney(
@@ -651,32 +647,21 @@ def search_powersum(
     cap: int | None = None,
     include_zero: bool = False,
 ) -> Hits:
-    """All n with digit_sum(n)**p == n, up to s_max**p (or cap).
-
-    Every fixed point is m**p for its own digit sum m, and m is at most the
-    largest admissible digit sum s_max from :func:`powersum_bound`, so the
-    search walks the roots m <= s_max and keeps m**p when its digit sum comes
-    back to m.  Unlike the coarse b**(p*p) ceiling, s_max follows directly
-    from the digit-count necessary condition even for tiny bases.  Both
-    engine names run this walk; ``scan`` is kept for the command lines that
-    name it.
-    """
+    """All n with digit_sum(n)**p == n, up to s_max**p (or cap): the p-th
+    powers of the hits m = digit_sum(m**p) of :func:`search_dudeney` for pow:p,
+    as each such n is m**p for its own digit sum m.  That search's ceiling is
+    s_max, the largest admissible digit sum of :func:`powersum_bound`.  Both
+    engine names run it; ``scan`` is kept for the command lines that name it."""
     if engine not in ("preimage", "scan"):
         raise ConfigurationError(f"unknown power-sum engine {engine!r}")
     if cap is not None and cap < 1:
         raise ConfigurationError(f"cap must be at least 1, got {cap}")
-    s_max = powersum_bound(p, base).s_max
-    ceiling = s_max**p if cap is None else min(s_max**p, cap)
-    values = []
-    if include_zero:
-        values.append(0)  # digit_sum(0)**p == 0 under the canonical zero digit
-    for m in range(1, s_max + 1):
-        n = m**p
-        if n > ceiling:
-            break
-        if digit_sum(n, base) == m:
-            values.append(n)
-    return Hits([powersum_hit(v, base, p) for v in values], ceiling)
+    if p < 2:
+        raise ConfigurationError(f"power-sum exponent must be at least 2, got {p}")
+    roots = search_dudeney(FunctionSpec.power(p), base, include_zero=include_zero)
+    ceiling = roots.ceiling**p if cap is None else min(roots.ceiling**p, cap)
+    powers = [h.value**p for h in roots]
+    return Hits([powersum_hit(n, base, p) for n in powers if n <= ceiling], ceiling)
 
 
 # -- reversal engine -------------------------------------------------------------

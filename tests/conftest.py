@@ -90,6 +90,21 @@ def oracle_wells(spec, base: int, top: int, include_zero: bool = False) -> list[
     return hits
 
 
+def oracle_wells_reverse(spec, base: int, cap: int, include_zero: bool = False) -> list[int]:
+    """Every n in [1, cap] equal to F of its digit count, ascending, after 0
+    when include_zero asks for it; digits are counted by long division, one
+    value at a time, so 0 has none and an image of 0 is never a hit."""
+    hits = [0] if include_zero and _zero_is_a_hit(spec) else []
+    for n in range(1, cap + 1):
+        rest, count = n, 0
+        while rest:
+            rest //= base
+            count += 1
+        if spec(count) == n:
+            hits.append(n)
+    return hits
+
+
 def oracle_dudeney(spec, base: int, top: int, include_zero: bool = False) -> list[int]:
     """Every n in [1, top] equal to the digit sum of F(n), ascending, after 0
     when include_zero asks for it, one value at a time."""

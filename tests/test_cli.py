@@ -114,6 +114,17 @@ class TestSearchCommands:
     def test_wells_reverse_requires_cap(self, capsys):
         assert run(capsys, "search", "wells-reverse", "--fn", "pow:5")[0] == 2
 
+    @pytest.mark.parametrize("fn", ["subfactorial", "poly:1,-1"])
+    def test_wells_reverse_without_hits(self, capsys, fn):
+        # F(1) = 0: an image of 0 has no digits, so it is no hit
+        code, out, err = run(capsys, "search", "wells-reverse", "--fn", fn, "--cap", "100")
+        assert (code, out, err) == (0, "0 hit(s), search ceiling 100\n", "")
+
+    def test_powersum_refuses_an_exponent_below_two(self, capsys):
+        code, out, err = run(capsys, "search", "powersum", "--fn", "pow:1")
+        assert (code, out) == (2, "")
+        assert err == "error: power-sum exponent must be at least 2, got 1\n"
+
     def test_armstrong(self, capsys):
         code, out, _ = run(capsys, "search", "armstrong", "--base", "3", "--format", "records")
         assert code == 0
@@ -743,14 +754,14 @@ class TestEntryPoint:
     the objects start-up loaded, then ``sys.exit``."""
 
     @staticmethod
-    def command(*argv, stdout=subprocess.PIPE):
+    def command(*argv, stdout=subprocess.PIPE, **options):
         import digitfix
 
         src = os.path.dirname(os.path.dirname(digitfix.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         return subprocess.run(
             [sys.executable, "-m", "digitfix.cli", *argv],
-            env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60,
+            env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60, **options,
         )
 
     def test_main_freezes_nothing(self, capsys):
@@ -793,6 +804,42 @@ class TestEntryPoint:
             os.close(write_end)
         assert result.returncode == 2
         assert result.stderr == b"error: stdout was closed before the output was written\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the write fails while main still prints, as on a full disk
+            ["search", "reversal", "--digits", "30", "--format", "records"],
+            # the write fails at the final flush
+            ["search", "hardy", "--fn", "pow:3", "--k", "2", "--cap", "500", "--format", "records"],
+        ],
+    )
+    def test_full_stdout_exits_two_with_one_line(self, argv):
+        with open("/dev/full", "w") as full:
+            result = self.command(*argv, stdout=full)
+        assert result.returncode == 2
+        assert result.stderr == (
+            b"error: stdout cannot take the output: [Errno 28] No space left on device\n"
+        )
+
+    def test_stdout_closed_at_start_exits_two_with_one_line(self):
+        # `digitfix ... >&-`: the interpreter starts with sys.stdout None
+        result = self.command("search", "wells", "--fn", "factorial", stdout=None,
+                              preexec_fn=lambda: os.close(1))
+        assert result.returncode == 2
+        assert result.stderr == b"error: stdout was closed before the output was written\n"
+
+    def test_another_oserror_propagates(self, monkeypatch):
+        import digitfix.cli as cli
+
+        def fail():
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "main", fail)
+        monkeypatch.setattr(sys, "stdout", sys.stdout)  # restored after run replaces it
+        with pytest.raises(OSError, match="No space left on device"):
+            cli.run()
 
     def test_module_writes_every_byte_of_a_large_record(self):
         # 360 kB on stdout, still buffered when main returns; the digests

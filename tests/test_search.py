@@ -53,6 +53,7 @@ from conftest import (
     oracle_powersum,
     oracle_reversal,
     oracle_wells,
+    oracle_wells_reverse,
 )
 
 
@@ -610,6 +611,20 @@ class TestSearchWellsReverse:
         with pytest.raises(ConfigurationError):
             search_wells_reverse(parse_spec("pow:5"), 10, None)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fn=st.sampled_from([*CATALOG_SPEC_TEXTS, "fib", "poly:1,-1"]),
+        base=st.integers(2, 16),
+        cap=st.one_of(st.integers(1, 100), st.integers(1, 10**4)),
+        zero_pow_zero=st.sampled_from([0, 1]),
+        include_zero=st.booleans(),
+    )
+    def test_matches_the_per_value_oracle(self, fn, base, cap, zero_pow_zero, include_zero):
+        spec = parse_spec(fn).with_zero_self_power(zero_pow_zero)
+        hits = search_wells_reverse(spec, base, cap, include_zero)
+        assert values(hits) == oracle_wells_reverse(spec, base, cap, include_zero)
+        assert hits.ceiling == cap
+
 
 class TestSearchDudeney:
     def test_cubes(self):
@@ -671,6 +686,12 @@ class TestSearchPowersum:
 
     def test_squares(self):
         assert values(search_powersum(2, 10)) == [1, 81]
+
+    @pytest.mark.parametrize("p", [1, 0, -2])
+    def test_refuses_an_exponent_below_two(self, p):
+        # every n = digit_sum(n)**1 below the base would pass for a hit
+        with pytest.raises(ConfigurationError, match=f"exponent must be at least 2, got {p}"):
+            search_powersum(p, 10)
 
     def test_engines_agree(self):
         for b in range(2, 17):
@@ -839,6 +860,14 @@ class TestHitVerification:
         with pytest.raises(ValueError):
             wells_hit(21, 10, FunctionSpec.factorial())
 
+    def test_wells_hit_rejects_an_image_of_zero(self):
+        # !1 = 0 has no digits, as search_wells reads it, so 1 is no hit
+        with pytest.raises(ValueError, match=r"digit_count\(F\(1\)\) = 0 != 1"):
+            wells_hit(1, 10, parse_spec("subfactorial"))
+        assert wells_hit(0, 10, parse_spec("pow:2")).images == (0,)
+        with pytest.raises(ValueError):
+            wells_hit(0, 10, parse_spec("factorial"))
+
     def test_wells_reverse_hit_rejects(self):
         with pytest.raises(ValueError):
             wells_reverse_hit(33, 10, parse_spec("pow:5"))
@@ -946,8 +975,9 @@ class TestRunSearch:
             monkeypatch.setattr(digitfix.search, name, spy)
         for family in ("hardy", "dudeney", "powersum"):
             run_search(family, CorpusEntry(id="e", kind="search", expected=[], fn="pow:2"))
-        # hardy's engine is its config's; the digit-sum searches keep their own defaults
-        assert seen == ["auto", None, None]
+        # hardy's engine is its config's; the digit-sum searches keep their own
+        # defaults, and so does the search_dudeney call powersum makes for its roots
+        assert seen == ["auto", None, None, None]
 
     def test_looks_up_the_searches_when_called(self, monkeypatch):
         calls = []
