@@ -110,17 +110,18 @@ def hardy_bound(spec: FunctionSpec, base: int, width: int = 1) -> BoundReport:
     # decimal_str: the numbers can pass the interpreter's int-to-str digit limit
     r, s = decimal_str(radix), decimal_str(s_k)
     lines = [f"s = max F(v) for v in [0, {r}) = {s}"]
-    m = 1
-    while radix ** (m - 1) <= m * s_k:
+    m, power = 1, 1  # power = radix**(m-1), carried from step to step
+    while power <= m * s_k:
         m += 1
+        power *= radix
     if m > 1:
         prev = m - 1
         lines.append(
-            f"m = {prev}: {r}^{prev - 1} = {decimal_str(radix ** (prev - 1))}"
+            f"m = {prev}: {r}^{prev - 1} = {decimal_str(power // radix)}"
             f" <= {prev}*{s} = {decimal_str(prev * s_k)}"
         )
     lines.append(
-        f"m = {m}: {r}^{m - 1} = {decimal_str(radix ** (m - 1))}"
+        f"m = {m}: {r}^{m - 1} = {decimal_str(power)}"
         f" > {m}*{s} = {decimal_str(m * s_k)}"
     )
     n_max = (m - 1) * s_k

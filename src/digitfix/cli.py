@@ -47,11 +47,10 @@ stderr.  Neither ``argparse`` nor ``json`` is imported: with ``re``, which
 both load, they cost more start-up than most searches.  :func:`_record`
 writes the records.
 
-``--jobs`` (``search`` and ``bound``; default from the ``DIGITFIX_JOBS``
-environment variable, else 1) is accepted for compatibility and ignored:
-every search runs in one process.  It is still read when the command runs
-and must be a positive integer (exit 2 otherwise); ``DIGITFIX_JOBS`` is
-checked so for every command.  Results never depend on it.
+``--jobs`` (``search`` and ``bound``) is accepted for compatibility and
+ignored: every search runs in one process.  A given count must still be a
+positive integer (exit 2 otherwise).  Results never depend on it, and no
+command reads an environment variable.
 """
 
 from __future__ import annotations
@@ -305,18 +304,16 @@ def _run_corpus_check(args) -> int:
     return _EXIT_CORPUS if mismatches else _EXIT_OK
 
 
-def _check_jobs(flag: str | None) -> None:
-    """Refuse a --jobs, else DIGITFIX_JOBS, that is not a positive integer; the count is unused."""
-    if flag is not None:
-        source, text = "--jobs", flag
-    else:
-        source, text = "DIGITFIX_JOBS", os.environ.get("DIGITFIX_JOBS") or "1"
+def _check_jobs(text: str | None) -> None:
+    """Refuse a given --jobs that is not a positive integer; the count is unused."""
+    if text is None:
+        return
     try:
         jobs = int(text)
     except ValueError:
         jobs = 0
     if jobs < 1:
-        raise ConfigurationError(f"{source} must be a positive integer, got {text!r}")
+        raise ConfigurationError(f"--jobs must be a positive integer, got {text!r}")
 
 
 # -- option table ----------------------------------------------------------------
@@ -382,7 +379,7 @@ _FORMAT = _Option(
 )
 _JOBS = _Option(
     ("--jobs",), help="ignored, since every search runs in one process; must be a positive "
-    "integer (default: DIGITFIX_JOBS or 1)",
+    "integer",
 )
 _K = _Option(("--k",), int, default=1, help="digits per block")
 
@@ -396,9 +393,6 @@ _FIELD_OPTIONS = {
     "max_order": _Option(("--max-order",), int, help="largest digit count m"),
     "digits": _Option(("--digits",), int, help="digits of n"),
     "include_zero": _Option(("--include-zero",), bool, help="also test n = 0"),
-    "zero_pow_zero": _Option(
-        ("--zero-pow-zero",), int, choices=(0, 1), default=1, help="the value of 0^0 in selfpow"
-    ),
 }
 _ELIDE = _Option(
     ("--elide",), int, default=1000, help="digit count above which numerals print elided"

@@ -11,7 +11,7 @@ Entry schema (one JSON object per entry):
 ``id``          unique name
 ``kind``        one of search | pair | piezas | vitalis
 ``family``      search kind only: a key of ``search.FAMILY_TABLE``
-``base, k, fn, engine, cap, max_order, digits, include_zero, zero_pow_zero``
+``base, k, fn, engine, cap, max_order, digits, include_zero``
                 search parameters (defaults: base 10, k 1, engine per family)
 ``expected``    sorted values; reversal: [value, multiplier] pairs; pair:
                 boolean; piezas: {"i", "t", "x", "y"} with decimal strings;
@@ -42,7 +42,6 @@ class CorpusEntry(Record):
         "max_order": None,
         "digits": None,
         "include_zero": False,
-        "zero_pow_zero": 1,
         "erratum": False,
         "note": "",
     }

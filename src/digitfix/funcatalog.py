@@ -6,11 +6,13 @@ subfactorial, Fibonacci, or a rational-coefficient polynomial).  Evaluation is
 exact big-integer arithmetic; each spec also carries growth metadata that the
 bounds module uses to decide which finiteness argument applies.
 
-Specs have a canonical text form (``pow:5``, ``selfpow``, ``expbase:4``,
-``factorial``, ``subfactorial``, ``fib``, ``poly:1,0,0``) that round-trips
-through :func:`parse_spec`.  Polynomial coefficients are listed leading-first,
-so ``poly:1,0,0`` is x^2; coefficients may be fractions such as ``1/2``.
-Only polynomial specs import ``fractions``, when one is built.
+Specs have a canonical text form (``pow:5``, ``selfpow``, ``selfpow:0``,
+``expbase:4``, ``factorial``, ``subfactorial``, ``fib``, ``poly:1,0,0``) that
+round-trips through :func:`parse_spec`.  ``selfpow`` takes 0**0 = 1 and
+``selfpow:0`` takes 0**0 = 0, so the text alone names F.  Polynomial
+coefficients are listed leading-first, so ``poly:1,0,0`` is x^2; coefficients
+may be fractions such as ``1/2``.  Only polynomial specs import ``fractions``,
+when one is built.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class FunctionSpec(Record):
         if self.kind == "power":
             return f"pow:{self.exponent}"
         if self.kind == "self_power":
-            return "selfpow"
+            return "selfpow" if self.zero_self_power else "selfpow:0"
         if self.kind == "exp_base":
             return f"expbase:{self.expbase}"
         if self.kind == "fibonacci":
@@ -150,9 +152,6 @@ class FunctionSpec(Record):
             return GrowthClass("exponential")
         return GrowthClass("self_exponential")
 
-    def with_zero_self_power(self, flag: int) -> "FunctionSpec":
-        return self.replace(zero_self_power=flag)
-
     def __call__(self, x: int) -> int:
         return evaluate(self, x)
 
@@ -169,6 +168,8 @@ def parse_spec(text: str) -> FunctionSpec:
             return FunctionSpec.polynomial(arg.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"bad function spec {text!r}: {exc}") from exc
+    if text == "selfpow:0":
+        return FunctionSpec.self_power(0)
     if sep == "":
         if head == "selfpow":
             return FunctionSpec.self_power()

@@ -524,9 +524,11 @@ def armstrong_order_ceiling(base: int) -> int:
     """Least order m with base**(m-1) > m*(base-1)**m; no solutions at or above it."""
     if base < 2:
         raise ConfigurationError(f"numeral base must be at least 2, got {base}")
-    m = 1
-    while base ** (m - 1) <= m * (base - 1) ** m:
+    m, power, digit_power = 1, 1, base - 1  # base**(m-1) and (base-1)**m, carried
+    while power <= m * digit_power:
         m += 1
+        power *= base
+        digit_power *= base - 1
     return m
 
 
@@ -787,9 +789,7 @@ def search_reversal(base: int, num_digits: int) -> Hits:
 
 
 # the fields of the search parameters, in option order
-_FIELDS = (
-    "base", "fn", "engine", "k", "cap", "max_order", "digits", "include_zero", "zero_pow_zero"
-)
+_FIELDS = ("base", "fn", "engine", "k", "cap", "max_order", "digits", "include_zero")
 
 
 def _family(
@@ -800,14 +800,14 @@ def _family(
 
     ``search`` names this module's ``search_*`` function, looked up when it
     runs, and ``arguments`` its positional arguments: fields of the search
-    parameters, ``spec`` (``fn`` read under ``zero_pow_zero``) or ``p`` (the
-    exponent of a pure-power ``fn``), made into a :class:`SearchConfig` with
-    ``config``.  ``fields`` are the fields they read, in option order, and
-    ``required`` those the family cannot run without.  ``engines`` are listed
+    parameters, ``spec`` (``fn`` parsed) or ``p`` (the exponent of a
+    pure-power ``fn``), made into a :class:`SearchConfig` with ``config``.
+    ``fields`` are the fields they read, in option order, and ``required``
+    those the family cannot run without.  ``engines`` are listed
     default first.  ``line`` prints one hit as text and ``summary`` the last
     text line; with ``pairs``, a corpus entry lists hits as [value, multiplier].
     """
-    reads = {"fn", "zero_pow_zero"} if "spec" in arguments or "p" in arguments else set()
+    reads = {"fn"} if "spec" in arguments or "p" in arguments else set()
     fields = tuple(field for field in _FIELDS if field in arguments or field in reads)
     return SimpleNamespace(
         help=help, search=search, arguments=arguments, fields=fields, line=line, config=config,
@@ -882,7 +882,7 @@ def run_search(family: str, params) -> Hits:
     if entry.engines:
         values["engine"] = params.engine or entry.engines[0]
     if "fn" in values:
-        spec = values["spec"] = parse_spec(params.fn).with_zero_self_power(params.zero_pow_zero)
+        spec = values["spec"] = parse_spec(params.fn)
         values["p"] = spec.exponent
         if "p" in entry.arguments and spec.kind != "power":
             raise ConfigurationError("power-sum search takes --fn pow:P for the exponent")

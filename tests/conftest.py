@@ -136,7 +136,7 @@ def oracle_floor_log(n: int, base: int) -> int:
 
 def oracle_hardy(fn_text: str, base: int, width: int, ceiling: int, zero_pow=1) -> list[int]:
     """Brute-force block-sum fixed points in [1, ceiling] by direct divmod loops."""
-    spec = parse_spec(fn_text).with_zero_self_power(zero_pow)
+    spec = parse_spec(fn_text).replace(zero_self_power=zero_pow)
     radix = base**width
     images = [spec(v) for v in range(radix)] if radix <= 4096 else None
     hits = []
@@ -150,6 +150,53 @@ def oracle_hardy(fn_text: str, base: int, width: int, ceiling: int, zero_pow=1) 
         if total == n:
             hits.append(n)
     return hits
+
+
+# The certificate checkers re-prove a bound report from its own numbers and
+# the spec alone, by brute force and plain powers; each asserts on any gap.
+
+
+def check_hardy_report(report, spec, base: int, width: int) -> None:
+    """s_k is the largest F over one block; radix**(M-1) > M*s_k at the
+    threshold M, radix**(M-2) <= (M-1)*s_k one below it, and n_max = (M-1)*s_k.
+    radix >= 2 carries the first inequality to every block count above M."""
+    radix = base**width
+    assert radix >= 2
+    s_k = max(spec(v) for v in range(radix))
+    m = report.block_threshold
+    assert report.s_k == s_k
+    assert radix ** (m - 1) > m * s_k
+    if m > 1:
+        assert radix ** (m - 2) <= (m - 1) * s_k
+    assert report.n_max == (m - 1) * s_k
+
+
+def check_wells_report(report, spec, base: int) -> None:
+    """Witnesses at the cutoff N and N + 1, each F(n) re-evaluated, all on one
+    side: F(n) >= b**n (more than n digits) or F(n) < b**(n-1) (fewer)."""
+    n0 = report.cutoff
+    assert [n for n, _, _ in report.witnesses] == [n0, n0 + 1]
+    sides = set()
+    for n, image, bound in report.witnesses:
+        assert image == spec(n)
+        if bound == base**n and image >= bound:
+            sides.add("ge")
+        else:
+            assert bound == base ** (n - 1) and image < bound
+            sides.add("lt")
+    assert len(sides) == 1
+
+
+def check_dudeney_report(report, spec, base: int) -> None:
+    """Consecutive witnesses from max(1, N - 1) past the cutoff N, each
+    (b-1)*digit_count(F(n)) recounted: n fits under it below N, never from N on."""
+    n0 = report.cutoff
+    ns = [n for n, _, _ in report.witnesses]
+    assert ns == list(range(max(1, n0 - 1), ns[-1] + 1)) and ns[-1] >= n0
+    for n, lhs, rhs in report.witnesses:
+        assert lhs == n
+        assert rhs == (base - 1) * len(digits_of(spec(n), base))
+        assert (n < n0) == (n <= rhs)
 
 
 def oracle_chunk_hits(diff: list[int], target: int) -> list[int]:

@@ -41,7 +41,7 @@ def values(hits):
 
 
 def run_hardy(fn, engine="scan", width=1, zero_pow=1, cap=None):
-    spec = parse_spec(fn).with_zero_self_power(zero_pow)
+    spec = parse_spec(fn).replace(zero_self_power=zero_pow)
     cfg = SearchConfig(spec=spec, base=10, width=width, engine=engine, cap=cap)
     return values(search_hardy(cfg))
 

@@ -1,11 +1,31 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitfix.bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
 from digitfix.digitops import digit_count, digit_sum
 from digitfix.errors import ConfigurationError, UnsupportedFunctionError
 from digitfix.funcatalog import FunctionSpec, evaluate, parse_spec
 
-from conftest import oracle_hardy
+from conftest import (
+    CATALOG_SPEC_TEXTS,
+    check_dudeney_report,
+    check_hardy_report,
+    check_wells_report,
+    oracle_block_fsum,
+    oracle_dudeney,
+    oracle_hardy,
+    oracle_wells,
+)
+
+# every catalog spec under both 0**0 conventions, and two polynomials
+CERTIFIED_SPECS = [*CATALOG_SPEC_TEXTS, "selfpow:0", "poly:1/2,1/2,0", "poly:2,0,3"]
+POLYNOMIAL_SPECS = [t for t in CERTIFIED_SPECS if parse_spec(t).growth_class.kind == "polynomial"]
+
+# a block width 1-3 and a base 2-36 whose block radix is at most 4096
+widths_and_bases = st.integers(1, 3).flatmap(
+    lambda width: st.tuples(st.just(width), st.integers(2, 16 if width == 3 else 36))
+)
 
 
 class TestHardyBound:
@@ -175,3 +195,37 @@ class TestPowerSumBound:
             powersum_bound(1, 10)
         with pytest.raises(ConfigurationError):
             powersum_bound(3, 1)
+
+
+class TestCertificates:
+    """Each report re-proves itself under the checkers of tests/conftest.py,
+    and a brute-force oracle finds no hit just above its ceiling or cutoff."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(fn=st.sampled_from(CERTIFIED_SPECS), width_base=widths_and_bases)
+    def test_hardy_reports(self, fn, width_base):
+        width, base = width_base
+        spec = parse_spec(fn)
+        report = hardy_bound(spec, base, width)
+        check_hardy_report(report, spec, base, width)
+        if report.n_max <= 10**9:
+            for n in range(report.n_max + 1, report.n_max + 200):
+                assert oracle_block_fsum(n, base**width, spec) != n
+
+    @settings(max_examples=120, deadline=None)
+    @given(fn=st.sampled_from(CERTIFIED_SPECS), base=st.integers(2, 36))
+    def test_wells_reports(self, fn, base):
+        spec = parse_spec(fn)
+        report = wells_cutoff(spec, base)
+        check_wells_report(report, spec, base)
+        top = report.cutoff + 20
+        assert [n for n in oracle_wells(spec, base, top) if n >= report.cutoff] == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(fn=st.sampled_from(POLYNOMIAL_SPECS), base=st.integers(2, 36))
+    def test_dudeney_reports(self, fn, base):
+        spec = parse_spec(fn)
+        report = dudeney_cutoff(spec, base)
+        check_dudeney_report(report, spec, base)
+        top = report.cutoff + 20
+        assert [n for n in oracle_dudeney(spec, base, top) if n >= report.cutoff] == []

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from digitfix.bounds import BoundReport, CutoffReport, PowerSumBound
 from digitfix.cli import main
+from digitfix.digitops import group_blocks
+from digitfix.funcatalog import evaluate, parse_spec
 from digitfix.search import Hits
 
 
@@ -26,7 +28,7 @@ def run(capsys, *argv):
 
 
 # the fields of a search's parameters that run_search reads
-_PARAM_FIELDS = ("base", "k", "fn", "zero_pow_zero", "engine", "cap", "include_zero", "max_order", "digits")
+_PARAM_FIELDS = ("base", "k", "fn", "engine", "cap", "include_zero", "max_order", "digits")
 
 
 def callees(monkeypatch, argv):
@@ -56,7 +58,6 @@ def callees(monkeypatch, argv):
     stub("piezas_numerals", ("1", "2", 3))
     stub("vitalis_generate", (1, 2, 3, 4))
     stub("corpus_check", SimpleNamespace(results=(), mismatches=()))
-    monkeypatch.delenv("DIGITFIX_JOBS", raising=False)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
@@ -176,8 +177,8 @@ class TestSearchCommands:
 
     def test_zero_pow_zero_flag(self, capsys):
         code, out, _ = run(
-            capsys, "search", "hardy", "--fn", "selfpow", "--engine", "multiset",
-            "--zero-pow-zero", "0", "--format", "records",
+            capsys, "search", "hardy", "--fn", "selfpow:0", "--engine", "multiset",
+            "--format", "records",
         )
         assert code == 0
         assert [r["value"] for r in records(out)] == [1, 3435, 438579088]
@@ -216,8 +217,8 @@ GOLDEN = [
     ("search hardy --fn factorial", "records", 0, "105a7043e10339ed7c72d8b24c14bdb1f5b2495fccfbcdd989fa75901777a89c"),
     ("search hardy --fn pow:3 --engine multiset --cap 1000", "text", 0, "a64cd3546b2ace27209aaf5534585126c5db64852a71cc81db5985e55ca42bf5"),
     ("search hardy --fn pow:3 --engine multiset --cap 1000", "records", 0, "3bd3c1868a4d5a77ae8ea4cca4935baf300729d808b485e9598a87492ace9ffb"),
-    ("search hardy --fn selfpow --engine multiset --zero-pow-zero 0", "text", 0, "68f36581b4037b6831c21ee63abb4d91914a33a6deeac08080c48caf8370ffc1"),
-    ("search hardy --fn selfpow --engine multiset --zero-pow-zero 0", "records", 0, "c64038bb2a47361792ca4d2b6595c948c542f3d2f978ab88898b62e8b1d7a596"),
+    ("search hardy --fn selfpow:0 --engine multiset", "text", 0, "68f36581b4037b6831c21ee63abb4d91914a33a6deeac08080c48caf8370ffc1"),
+    ("search hardy --fn selfpow:0 --engine multiset", "records", 0, "7e0ab7433bd705396525d2fca552b56706ae2d182013d245c8e70ee3b0f8288f"),
     ("search armstrong --base 4", "text", 0, "71d14ecba89932b66a32551f554fd60426f4f96d87406bbeab38e0aa30947218"),
     ("search armstrong --base 4", "records", 0, "4359bae74fb3c35951e8ec7c101ed84c91e59036f4d07d01c5bd951c9d9965ee"),
     ("search wells --fn factorial", "text", 0, "1bd93017484bf05397d93474f54a1ed282fccaf1a4093d9f83ed6dc4ed2e4814"),
@@ -247,31 +248,34 @@ def test_search_output_is_frozen(capsys, argv, fmt, exit_code, digest):
 # callees() and the stdout rendered from the recorders' stub results.
 GOLDEN_PARSE = [
     ("search hardy --fn factorial --base 10",
-     [("run_search", "hardy", (10, 1, "factorial", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "factorial", None, None, False, "absent", "absent"))],
      "0 hit(s), search ceiling 0\n"),
-    ("search hardy --fn selfpow --engine multiset --zero-pow-zero 0",
-     [("run_search", "hardy", (10, 1, "selfpow", 0, "multiset", None, False, "absent", "absent"))],
+    ("search hardy --fn factorial --base 16",
+     [("run_search", "hardy", (16, 1, "factorial", None, None, False, "absent", "absent"))],
+     "0 hit(s), search ceiling 0\n"),
+    ("search hardy --fn selfpow:0 --engine multiset",
+     [("run_search", "hardy", (10, 1, "selfpow:0", "multiset", None, False, "absent", "absent"))],
      "0 hit(s), search ceiling 0\n"),
     ("search hardy --fn pow:3 --k 2",
-     [("run_search", "hardy", (10, 2, "pow:3", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 2, "pow:3", None, None, False, "absent", "absent"))],
      "0 hit(s), search ceiling 0\n"),
     ("search armstrong --base 4",
-     [("run_search", "armstrong", (4, 1, "absent", "absent", None, "absent", "absent", None, "absent"))],
+     [("run_search", "armstrong", (4, 1, "absent", None, "absent", "absent", None, "absent"))],
      "0 hit(s), search ceiling 0\n"),
     ("search wells --fn subfactorial",
-     [("run_search", "wells", (10, 1, "subfactorial", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "wells", (10, 1, "subfactorial", None, None, False, "absent", "absent"))],
      "0 hit(s), search ceiling 0\n"),
     ("search wells-reverse --fn pow:5 --cap 100000",
-     [("run_search", "wells-reverse", (10, 1, "pow:5", 1, None, 100000, False, "absent", "absent"))],
+     [("run_search", "wells-reverse", (10, 1, "pow:5", None, 100000, False, "absent", "absent"))],
      "0 hit(s), search ceiling 0\n"),
     ("search dudeney --fn pow:3",
-     [("run_search", "dudeney", (10, 1, "pow:3", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "dudeney", (10, 1, "pow:3", None, None, False, "absent", "absent"))],
      "0 hit(s), search ceiling 0\n"),
     ("search powersum --fn pow:3 --engine scan",
-     [("run_search", "powersum", (10, 1, "pow:3", 1, "scan", None, False, "absent", "absent"))],
+     [("run_search", "powersum", (10, 1, "pow:3", "scan", None, False, "absent", "absent"))],
      "0 hit(s), search ceiling 0\n"),
     ("search reversal --digits 4",
-     [("run_search", "reversal", (10, 1, "absent", "absent", None, "absent", "absent", "absent", 4))],
+     [("run_search", "reversal", (10, 1, "absent", None, "absent", "absent", "absent", 4))],
      "0 hit(s) among 4-digit numbers\n"),
     ("bound hardy --fn pow:5",
      [("hardy_bound", "pow:5", 10, 1)],
@@ -289,43 +293,43 @@ GOLDEN_PARSE = [
      [("corpus_check",)],
      "0 entries, 0 mismatches\n"),
     ("search hardy --fn pow:7 --format records --jobs 2",
-     [("run_search", "hardy", (10, 1, "pow:7", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "pow:7", None, None, False, "absent", "absent"))],
      ""),
     ("search hardy --fn expbase:5 --format records --jobs 2",
-     [("run_search", "hardy", (10, 1, "expbase:5", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "expbase:5", None, None, False, "absent", "absent"))],
      ""),
     ("search hardy --fn factorial --format records --jobs 2",
-     [("run_search", "hardy", (10, 1, "factorial", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "factorial", None, None, False, "absent", "absent"))],
      ""),
     ("search hardy --fn pow:3 --k 2 --format records --jobs 2",
-     [("run_search", "hardy", (10, 2, "pow:3", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 2, "pow:3", None, None, False, "absent", "absent"))],
      ""),
     ("search powersum --fn pow:4 --engine scan --format records --jobs 2",
-     [("run_search", "powersum", (10, 1, "pow:4", 1, "scan", None, False, "absent", "absent"))],
+     [("run_search", "powersum", (10, 1, "pow:4", "scan", None, False, "absent", "absent"))],
      ""),
     ("search reversal --digits 6 --format records --jobs 2",
-     [("run_search", "reversal", (10, 1, "absent", "absent", None, "absent", "absent", "absent", 6))],
+     [("run_search", "reversal", (10, 1, "absent", None, "absent", "absent", "absent", 6))],
      ""),
     ("search reversal --digits 7 --base 8 --format records --jobs 2",
-     [("run_search", "reversal", (8, 1, "absent", "absent", None, "absent", "absent", "absent", 7))],
+     [("run_search", "reversal", (8, 1, "absent", None, "absent", "absent", "absent", 7))],
      ""),
     ("search hardy --fn selfpow --engine multiset --base 11 --format records --jobs 1",
-     [("run_search", "hardy", (11, 1, "selfpow", 1, "multiset", None, False, "absent", "absent"))],
+     [("run_search", "hardy", (11, 1, "selfpow", "multiset", None, False, "absent", "absent"))],
      ""),
     ("search armstrong --max-order 12 --format records --jobs 1",
-     [("run_search", "armstrong", (10, 1, "absent", "absent", None, "absent", "absent", 12, "absent"))],
+     [("run_search", "armstrong", (10, 1, "absent", None, "absent", "absent", 12, "absent"))],
      ""),
     ("search armstrong --base 5 --format records --jobs 1",
-     [("run_search", "armstrong", (5, 1, "absent", "absent", None, "absent", "absent", None, "absent"))],
+     [("run_search", "armstrong", (5, 1, "absent", None, "absent", "absent", None, "absent"))],
      ""),
     ("search hardy --fn expbase:9 --engine multiset --format records --jobs 1",
-     [("run_search", "hardy", (10, 1, "expbase:9", 1, "multiset", None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "expbase:9", "multiset", None, False, "absent", "absent"))],
      ""),
     ("search hardy --fn pow:8 --engine multiset --format records --jobs 1",
-     [("run_search", "hardy", (10, 1, "pow:8", 1, "multiset", None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "pow:8", "multiset", None, False, "absent", "absent"))],
      ""),
     ("search hardy --fn pow:9 --engine multiset --format records --jobs 1",
-     [("run_search", "hardy", (10, 1, "pow:9", 1, "multiset", None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "pow:9", "multiset", None, False, "absent", "absent"))],
      ""),
     ("bound hardy --fn pow:5 --format records --jobs 1",
      [("hardy_bound", "pow:5", 10, 1)],
@@ -379,97 +383,97 @@ GOLDEN_PARSE = [
      [("powersum_bound", 5, 10)],
      '{"base":10,"bound":"powersum","coarse":0,"fn":"pow:5","s_max":0}\n'),
     ("search wells --fn factorial --format records --jobs 1",
-     [("run_search", "wells", (10, 1, "factorial", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "wells", (10, 1, "factorial", None, None, False, "absent", "absent"))],
      ""),
     ("search wells --fn selfpow --format records --jobs 1",
-     [("run_search", "wells", (10, 1, "selfpow", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "wells", (10, 1, "selfpow", None, None, False, "absent", "absent"))],
      ""),
     ("search wells --fn subfactorial --format records --jobs 1",
-     [("run_search", "wells", (10, 1, "subfactorial", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "wells", (10, 1, "subfactorial", None, None, False, "absent", "absent"))],
      ""),
     ("search wells --fn pow:4 --format records --jobs 1",
-     [("run_search", "wells", (10, 1, "pow:4", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "wells", (10, 1, "pow:4", None, None, False, "absent", "absent"))],
      ""),
     ("search wells-reverse --fn pow:5 --cap 100000 --format records --jobs 1",
-     [("run_search", "wells-reverse", (10, 1, "pow:5", 1, None, 100000, False, "absent", "absent"))],
+     [("run_search", "wells-reverse", (10, 1, "pow:5", None, 100000, False, "absent", "absent"))],
      ""),
     ("search wells-reverse --fn pow:4 --cap 100000 --format records --jobs 1",
-     [("run_search", "wells-reverse", (10, 1, "pow:4", 1, None, 100000, False, "absent", "absent"))],
+     [("run_search", "wells-reverse", (10, 1, "pow:4", None, 100000, False, "absent", "absent"))],
      ""),
     ("search dudeney --fn pow:3 --format records --jobs 1",
-     [("run_search", "dudeney", (10, 1, "pow:3", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "dudeney", (10, 1, "pow:3", None, None, False, "absent", "absent"))],
      ""),
     ("search dudeney --fn pow:2 --format records --jobs 1",
-     [("run_search", "dudeney", (10, 1, "pow:2", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "dudeney", (10, 1, "pow:2", None, None, False, "absent", "absent"))],
      ""),
     ("search dudeney --fn fib --cap 100 --format records --jobs 1",
-     [("run_search", "dudeney", (10, 1, "fib", 1, None, 100, False, "absent", "absent"))],
+     [("run_search", "dudeney", (10, 1, "fib", None, 100, False, "absent", "absent"))],
      ""),
     ("search dudeney --fn pow:3 --engine preimage --format records --jobs 1",
-     [("run_search", "dudeney", (10, 1, "pow:3", 1, "preimage", None, False, "absent", "absent"))],
+     [("run_search", "dudeney", (10, 1, "pow:3", "preimage", None, False, "absent", "absent"))],
      ""),
     ("search dudeney --fn pow:2 --engine preimage --format records --jobs 1",
-     [("run_search", "dudeney", (10, 1, "pow:2", 1, "preimage", None, False, "absent", "absent"))],
+     [("run_search", "dudeney", (10, 1, "pow:2", "preimage", None, False, "absent", "absent"))],
      ""),
     ("search powersum --fn pow:2 --format records --jobs 1",
-     [("run_search", "powersum", (10, 1, "pow:2", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "powersum", (10, 1, "pow:2", None, None, False, "absent", "absent"))],
      ""),
     ("search powersum --fn pow:3 --format records --jobs 1",
-     [("run_search", "powersum", (10, 1, "pow:3", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "powersum", (10, 1, "pow:3", None, None, False, "absent", "absent"))],
      ""),
     ("search powersum --fn pow:4 --format records --jobs 1",
-     [("run_search", "powersum", (10, 1, "pow:4", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "powersum", (10, 1, "pow:4", None, None, False, "absent", "absent"))],
      ""),
     ("search powersum --fn pow:2 --engine scan --format records --jobs 1",
-     [("run_search", "powersum", (10, 1, "pow:2", 1, "scan", None, False, "absent", "absent"))],
+     [("run_search", "powersum", (10, 1, "pow:2", "scan", None, False, "absent", "absent"))],
      ""),
     ("search powersum --fn pow:3 --engine scan --format records --jobs 1",
-     [("run_search", "powersum", (10, 1, "pow:3", 1, "scan", None, False, "absent", "absent"))],
+     [("run_search", "powersum", (10, 1, "pow:3", "scan", None, False, "absent", "absent"))],
      ""),
     ("search armstrong --base 3 --format records --jobs 1",
-     [("run_search", "armstrong", (3, 1, "absent", "absent", None, "absent", "absent", None, "absent"))],
+     [("run_search", "armstrong", (3, 1, "absent", None, "absent", "absent", None, "absent"))],
      ""),
     ("search armstrong --base 4 --format records --jobs 1",
-     [("run_search", "armstrong", (4, 1, "absent", "absent", None, "absent", "absent", None, "absent"))],
+     [("run_search", "armstrong", (4, 1, "absent", None, "absent", "absent", None, "absent"))],
      ""),
     ("search armstrong --max-order 4 --format records --jobs 1",
-     [("run_search", "armstrong", (10, 1, "absent", "absent", None, "absent", "absent", 4, "absent"))],
+     [("run_search", "armstrong", (10, 1, "absent", None, "absent", "absent", 4, "absent"))],
      ""),
     ("search reversal --digits 2 --format records --jobs 1",
-     [("run_search", "reversal", (10, 1, "absent", "absent", None, "absent", "absent", "absent", 2))],
+     [("run_search", "reversal", (10, 1, "absent", None, "absent", "absent", "absent", 2))],
      ""),
     ("search reversal --digits 3 --format records --jobs 1",
-     [("run_search", "reversal", (10, 1, "absent", "absent", None, "absent", "absent", "absent", 3))],
+     [("run_search", "reversal", (10, 1, "absent", None, "absent", "absent", "absent", 3))],
      ""),
     ("search reversal --digits 4 --format records --jobs 1",
-     [("run_search", "reversal", (10, 1, "absent", "absent", None, "absent", "absent", "absent", 4))],
+     [("run_search", "reversal", (10, 1, "absent", None, "absent", "absent", "absent", 4))],
      ""),
     ("search reversal --digits 5 --base 8 --format records --jobs 1",
-     [("run_search", "reversal", (8, 1, "absent", "absent", None, "absent", "absent", "absent", 5))],
+     [("run_search", "reversal", (8, 1, "absent", None, "absent", "absent", "absent", 5))],
      ""),
     ("search hardy --fn pow:3 --format records --jobs 1",
-     [("run_search", "hardy", (10, 1, "pow:3", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "pow:3", None, None, False, "absent", "absent"))],
      ""),
     ("search hardy --fn pow:4 --format records --jobs 1",
-     [("run_search", "hardy", (10, 1, "pow:4", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "pow:4", None, None, False, "absent", "absent"))],
      ""),
     ("search hardy --fn pow:5 --format records --jobs 1",
-     [("run_search", "hardy", (10, 1, "pow:5", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "pow:5", None, None, False, "absent", "absent"))],
      ""),
     ("search hardy --fn expbase:3 --format records --jobs 1",
-     [("run_search", "hardy", (10, 1, "expbase:3", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "expbase:3", None, None, False, "absent", "absent"))],
      ""),
     ("search hardy --fn expbase:4 --format records --jobs 1",
-     [("run_search", "hardy", (10, 1, "expbase:4", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "expbase:4", None, None, False, "absent", "absent"))],
      ""),
     ("search hardy --fn subfactorial --format records --jobs 1",
-     [("run_search", "hardy", (10, 1, "subfactorial", 1, None, None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "subfactorial", None, None, False, "absent", "absent"))],
      ""),
     ("search hardy --fn selfpow --engine multiset --format records --jobs 1",
-     [("run_search", "hardy", (10, 1, "selfpow", 1, "multiset", None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "selfpow", "multiset", None, False, "absent", "absent"))],
      ""),
     ("search hardy --fn expbase:8 --engine multiset --format records --jobs 1",
-     [("run_search", "hardy", (10, 1, "expbase:8", 1, "multiset", None, False, "absent", "absent"))],
+     [("run_search", "hardy", (10, 1, "expbase:8", "multiset", None, False, "absent", "absent"))],
      ""),
     ("family piezas --fermat-index 4 --t 2 --format records",
      [("piezas_numerals", 4, 2)],
@@ -488,6 +492,24 @@ def test_command_line_reaches_its_callee_with_frozen_arguments(monkeypatch, argv
     assert callees(monkeypatch, argv.split()) == (calls, 0, stdout)
 
 
+# Every record of a block-sum search in GOLDEN_PARSE re-proves itself from its
+# own fields: F of each radix base**k block of its value is its decomposition,
+# whose sum is the value.
+BLOCK_SUM_ARGVS = [a for a, _, _ in GOLDEN_PARSE if a.startswith(("search hardy", "search armstrong"))]
+
+
+@pytest.mark.parametrize("argv", BLOCK_SUM_ARGVS)
+def test_records_re_prove_themselves(capsys, argv):
+    code, out, _ = run(capsys, *argv.split(), "--format", "records")
+    assert code == 0 and out
+    for record in records(out):
+        spec = parse_spec(record["fn"])
+        blocks = group_blocks(record["value"], record["base"], record["k"]).blocks
+        images = [evaluate(spec, block) for block in blocks]
+        assert images == record["decomposition"], record
+        assert sum(images) == record["value"]
+
+
 # Other spellings of a command line parse to the same call: an attached or
 # "=" value, a unique prefix of a long flag, the last of repeated options.
 SPELLINGS = [
@@ -497,7 +519,7 @@ SPELLINGS = [
     ("search armstrong --max 4", "search armstrong --max-order 4"),
     ("search hardy --fn=pow:3 --ba=8", "search hardy --fn pow:3 --base 8"),
     ("search hardy --fn pow:4 --k 3 --fn pow:3 --k=2", "search hardy --fn pow:3 --k 2"),
-    ("search hardy --inc --zero 0 --fn selfpow", "search hardy --fn selfpow --include-zero --zero-pow-zero 0"),
+    ("search hardy --inc --fn selfpow", "search hardy --fn selfpow --include-zero"),
     ("bound hardy --fo records --fn pow:5", "bound hardy --fn pow:5 --format records"),
 ]
 
@@ -593,19 +615,19 @@ def test_help_lists_every_subcommand_and_option(capsys, path, flag):
 # Per search family: sha256 of its `-h` stdout and of the usage line it
 # prints on an unknown flag, frozen from the hand-written option lists.
 GOLDEN_HELP = {
-    "hardy": ("89189182009ad94f35203b0c82689560e1729ffa6cb3e39b3e3d797c745b300f",
-              "940296c09cf64b73f5c49b7bbd8c88d732688ae39c33cfa822a8f8451db6e9b7"),
-    "armstrong": ("8d2bbdd76294b92876aaa8beb81920a6bb6cb6aa08e634fcc75fffc00866d534",
+    "hardy": ("767fd03f869f9a31b8c569e26107a559e87482ad113fb1c898609642476e5aef",
+              "1acb1ef5f545cd0a42f49df97df3d1f353f0b87ce5f7c3b8519de6ee2bd1f2db"),
+    "armstrong": ("b39e0ddf3eafe98dd623bd573594f7a26269c19cc52f473f6af9ef29c737d9cf",
                   "17890817c0b475bfd4119bf43f7254f3499ccd94fe207edea021b3b546306ec5"),
-    "wells": ("c9fd05cbcf7fb9a1ff51d3c039c9f513bc4f07e6f88918734459a84c2013a4ba",
-              "a9d5b486e95c112cea5c32fe25e8759e6b7d79af6ee67a3e75bd975fae34d620"),
-    "wells-reverse": ("40b3a52e604b8f9cf998b2b9f4739b5851cf8b30f390850b4f71f9aa8aa8b37b",
-                      "4c4d257c6447b3fd51a9c41f214fa130544f14d87b606b00493233773be7103e"),
-    "dudeney": ("2c943dca9278ac4a5c976314f3db138c75d3e1c6885291968fc3b13618b480bd",
-                "1221067a02ed85052ca9ef5a4a9cdf6eef0febddabac4777aa562209912c57d8"),
-    "powersum": ("e40b0c462c7dd2a3fa13618bbdc2dc1a18c9f616944576746c706c966007e1d4",
-                 "3541d83bfeb393cd60d04359a1ce7916c910a571dbfb8b61f39e87d0b542649e"),
-    "reversal": ("97c737c048caf59de3ce796015faeab57e98552d0e845943f0e071a293ba8e30",
+    "wells": ("79c9d909913cc5a3e3f33befd136be828a011429dc8001f9c87fd9d2f1ac1642",
+              "7ebbb1de4618aa68f84a6ecb460438a62f07d41609ee3dfc810408009174b65a"),
+    "wells-reverse": ("3aa7b38f6d1c1c2f7122b8e41572d2d326f7f89fd9f593fa2e507cb990b3fec9",
+                      "70d94c6a36a9637f876ab04351824e5ba0f02b26d610feb2e6d0d053e834907d"),
+    "dudeney": ("2d521e92953082fa86f4ed50cef8dd989c9eb7cd3c1db6236b0820c4d721bdf0",
+                "faa1d96fa194416cdb365a686da1c1ef856c96c4a192043c1ad26a8e61a0a543"),
+    "powersum": ("296666f8d3ee07ffad5f0dc28c5ccb258ed4718cd6f7a8162438572de53a7189",
+                 "130e11a12307df45773aa89a2e86b59b014211559aacafd2b587ebdff772be60"),
+    "reversal": ("16aab8591de91760e13a8060c00972f76be388962e64a666e47a5a6171c94069",
                  "67163bd38e8116e13762e140c841e32bf0bb3717cfa439b55cea09d5a2a707e9"),
 }
 
@@ -640,6 +662,10 @@ def test_readme_command_line_examples_run(capsys, argv):
     assert code == 0, err
 
 
+def test_golden_parse_holds_every_readme_command_line():
+    assert {" ".join(argv) for argv in _readme_commands()} <= {a for a, _, _ in GOLDEN_PARSE}
+
+
 class TestDeterminism:
     def test_records_identical_across_jobs(self, capsys):
         outputs = []
@@ -658,20 +684,11 @@ class TestDeterminism:
         assert code == 0
         assert [r["value"] for r in records(out)] == [1, 1634, 8208, 9474]
 
-    @pytest.mark.parametrize(
-        "env, flag",
-        [("abc", None), ("0", None), (None, "abc"), (None, "0"), (None, "-3"), ("2", "x")],
-    )
-    def test_bad_jobs_exit_two_with_one_line(self, capsys, monkeypatch, env, flag):
-        if env is None:
-            monkeypatch.delenv("DIGITFIX_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("DIGITFIX_JOBS", env)
-        argv = ["search", "hardy", "--fn", "pow:3"] + ([] if flag is None else ["--jobs", flag])
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and "positive integer" in err
+    @pytest.mark.parametrize("flag", ["abc", "0", "-3", "x"])
+    def test_bad_jobs_exit_two_with_one_line(self, capsys, flag):
+        code, out, err = run(capsys, "search", "hardy", "--fn", "pow:3", "--jobs", flag)
+        assert (code, out) == (2, "")
+        assert err == f"error: --jobs must be a positive integer, got {flag!r}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -683,11 +700,12 @@ class TestDeterminism:
             ["search", "reversal", "--digits", "4"],
         ],
     )
-    def test_bad_jobs_environment_exits_two_for_every_command(self, capsys, monkeypatch, argv):
+    def test_no_command_reads_a_jobs_environment_variable(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("DIGITFIX_JOBS", raising=False)
+        code, out, _ = run(capsys, *argv)
         monkeypatch.setenv("DIGITFIX_JOBS", "x")
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == "error: DIGITFIX_JOBS must be a positive integer, got 'x'\n"
+        assert run(capsys, *argv)[:2] == (code, out)
+        assert code == 0
 
     @pytest.mark.parametrize("argv", [["corpus", "check"], ["family", "vitalis", "-l", "2"]])
     def test_jobs_flag_belongs_to_search_and_bound_only(self, capsys, argv):

@@ -106,7 +106,7 @@ def test_domain_checks():
 
 
 def test_parse_round_trip():
-    texts = ["pow:5", "selfpow", "expbase:4", "factorial", "subfactorial", "fib", "poly:1,0,0", "poly:1/2,1/2,0"]
+    texts = ["pow:5", "selfpow", "selfpow:0", "expbase:4", "factorial", "subfactorial", "fib", "poly:1,0,0", "poly:1/2,1/2,0"]
     for text in texts:
         spec = parse_spec(text)
         assert spec.text == text
@@ -115,7 +115,7 @@ def test_parse_round_trip():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "pow", "pow:", "pow:x", "pow:0", "selfpow:1", "expbase:1", "expbase:", "fib:3",
+    ["", "pow", "pow:", "pow:x", "pow:0", "selfpow:1", "selfpow:", "selfpow:00", "expbase:1", "expbase:", "fib:3",
      "poly:", "poly:a", "poly:1/0", "factorial:2", "cube", "POW:3", " pow:3"],
 )
 def test_parser_rejects_everything_else(bad):

@@ -28,7 +28,6 @@ _ENTRY_DEFAULTS = {
     "max_order": None,
     "digits": None,
     "include_zero": False,
-    "zero_pow_zero": 1,
     "erratum": False,
     "note": "",
 }
@@ -66,7 +65,7 @@ RECORDS = [
     (ReversalHit, (8712, 4, 2178), {}, ("multiplier", 5)),
     (
         CorpusEntry,
-        ("e", "search", (1,), "hardy", 9, 2, "pow:3", "multiset", 50, 4, 3, True, 0, True, "n"),
+        ("e", "search", (1,), "hardy", 9, 2, "pow:3", "multiset", 50, 4, 3, True, True, "n"),
         _ENTRY_DEFAULTS,
         ("note", "m"),
     ),

@@ -66,7 +66,7 @@ def values(hits):
 
 
 def run_hardy(fn, engine="scan", width=1, cap=None, include_zero=False, zero_pow=1, base=10):
-    spec = parse_spec(fn).with_zero_self_power(zero_pow)
+    spec = parse_spec(fn).replace(zero_self_power=zero_pow)
     cfg = SearchConfig(
         spec=spec, base=base, width=width, engine=engine, cap=cap, include_zero=include_zero
     )
@@ -235,7 +235,7 @@ class TestIndexedScan:
         expected = oracle_hardy(fn, base, width, cap, zero_pow)
         # the search sizes its own table; _scan_range is also run on the drawn depth
         assert run_hardy(fn, width=width, cap=cap, zero_pow=zero_pow, base=base) == expected
-        spec = parse_spec(fn).with_zero_self_power(zero_pow)
+        spec = parse_spec(fn).replace(zero_self_power=zero_pow)
         assert _scan_range(1, cap + 1, spec, base, width, depth) == expected
 
     @pytest.mark.parametrize("fn, width", [("pow:7", 1), ("factorial", 1), ("pow:3", 2)])
@@ -354,7 +354,7 @@ def multiset_cases(draw):
     """A catalog F in base 2-16 and a length whose flat enumeration stays small."""
     base = draw(st.integers(2, 16))
     spec = parse_spec(draw(st.sampled_from(CATALOG_SPEC_TEXTS)))
-    spec = spec.with_zero_self_power(draw(st.sampled_from((0, 1))))
+    spec = spec.replace(zero_self_power=draw(st.sampled_from((0, 1))))
     m, cap = _flat_length(draw, base)
     return [evaluate(spec, d) for d in range(base)], base, m, cap
 
@@ -429,7 +429,7 @@ def auto_cases(draw):
     cap, or none where the derived ceiling keeps the scan short."""
     base = draw(st.integers(2, 16))
     spec = parse_spec(draw(st.sampled_from(CATALOG_SPEC_TEXTS)))
-    spec = spec.with_zero_self_power(draw(st.sampled_from((0, 1))))
+    spec = spec.replace(zero_self_power=draw(st.sampled_from((0, 1))))
     cap = draw(st.none() | st.integers(1, 10**6))
     assume(cap is not None or hardy_bound(spec, base, 1).n_max <= 10**7)
     return SearchConfig(spec=spec, base=base, cap=cap, include_zero=draw(st.booleans()))
@@ -620,7 +620,7 @@ class TestSearchWellsReverse:
         include_zero=st.booleans(),
     )
     def test_matches_the_per_value_oracle(self, fn, base, cap, zero_pow_zero, include_zero):
-        spec = parse_spec(fn).with_zero_self_power(zero_pow_zero)
+        spec = parse_spec(fn).replace(zero_self_power=zero_pow_zero)
         hits = search_wells_reverse(spec, base, cap, include_zero)
         assert values(hits) == oracle_wells_reverse(spec, base, cap, include_zero)
         assert hits.ceiling == cap
@@ -941,9 +941,9 @@ class TestRunSearch:
              lambda: search_hardy(SearchConfig(spec=parse_spec("factorial")))),
             (dict(family="hardy", fn="pow:3", k=2, engine="scan", cap=10**5),
              lambda: search_hardy(SearchConfig(spec=parse_spec("pow:3"), width=2, cap=10**5))),
-            (dict(family="hardy", fn="selfpow", engine="multiset", zero_pow_zero=0),
+            (dict(family="hardy", fn="selfpow:0", engine="multiset"),
              lambda: search_hardy(
-                 SearchConfig(spec=parse_spec("selfpow").with_zero_self_power(0), engine="multiset")
+                 SearchConfig(spec=parse_spec("selfpow").replace(zero_self_power=0), engine="multiset")
              )),
             (dict(family="armstrong", base=4, max_order=3), lambda: search_armstrong(4, 3)),
             (dict(family="wells", fn="subfactorial"),
