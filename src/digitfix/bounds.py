@@ -232,8 +232,7 @@ def wells_cutoff(spec: FunctionSpec, base: int) -> CutoffReport:
 
 def _poly_majorant(spec: FunctionSpec) -> tuple:
     """(C, d) with F(n) <= C * n**d for all n >= 1; C is an int or a Fraction."""
-    growth = spec.growth_class
-    if growth.kind != "polynomial":
+    if spec.kind not in ("power", "polynomial"):
         raise UnsupportedFunctionError(
             f"{spec.text} grows too fast for a digit-sum cutoff; supply a cap"
         )

@@ -30,6 +30,11 @@ This module parses arguments and renders hits; it derives no ceiling of its
 own on a search path.  The ``bound`` subcommands run from one table,
 ``_BOUNDS``; a bound's record holds its arguments and its report's fields.
 
+Each subcommand's runner does the work and returns ``(exit code, records,
+lines)``: the dicts that :func:`_record` writes and the text lines.  Both are
+lazy, so records mode formats no text line and text mode builds no record.
+:func:`main` is the one place that reads ``--format`` and prints, line by line.
+
 The command line is read against one option table, ``_COMMANDS``.  For each
 ``command subcommand`` pair it lists the help line, the attributes the pair
 sets by default (its runner ``run``; every search also ``k = 1`` and
@@ -124,29 +129,27 @@ def _record(value) -> str:
 # -- search subcommands --------------------------------------------------------
 
 
-def _run_search(args) -> int:
+def _run_search(args) -> tuple:
     hits = run_search(args.family, args)
-    if args.format == "records":
-        for h in hits:
-            print(
-                _record(
-                    {
-                        "family": h.family,
-                        "base": args.base,
-                        "k": args.k,
-                        "fn": h.fn,
-                        "value": h.value,
-                        "decomposition": list(h.images),
-                        "bound_used": hits.ceiling,
-                    }
-                )
-            )
-        return _EXIT_OK
     family = FAMILY_TABLE[args.family]
-    for h in hits:
-        print(family.line(h))
-    print(family.summary.format(count=len(hits), ceiling=hits.ceiling, params=args))
-    return _EXIT_OK
+    records = (
+        {
+            "family": h.family,
+            "base": args.base,
+            "k": args.k,
+            "fn": h.fn,
+            "value": h.value,
+            "decomposition": list(h.images),
+            "bound_used": hits.ceiling,
+        }
+        for h in hits
+    )
+
+    def lines():
+        yield from map(family.line, hits)
+        yield family.summary.format(count=len(hits), ceiling=hits.ceiling, params=args)
+
+    return _EXIT_OK, records, lines()
 
 
 # -- bound subcommands -----------------------------------------------------------
@@ -206,102 +209,101 @@ _BOUNDS = {
 }
 
 
-def _run_bound(args) -> int:
-    _, derivation, arguments, lines = _BOUNDS[args.bound_kind]
+def _run_bound(args) -> tuple:
+    _, derivation, arguments, render = _BOUNDS[args.bound_kind]
     spec = parse_spec(args.fn)
     values = {name: getattr(args, name) for name in arguments}
     report = derivation(spec, *values.values())
-    if args.format == "records":
+
+    def records():
         fields = {name: getattr(report, name) for name in report.__slots__}
-        print(_record({"bound": args.bound_kind, "fn": spec.text, **values, **fields}))
-    else:
-        for line in lines(report):
-            print(line)
-    return _EXIT_OK
+        yield {"bound": args.bound_kind, "fn": spec.text, **values, **fields}
+
+    def lines():
+        yield from render(report)
+
+    return _EXIT_OK, records(), lines()
 
 
 # -- family subcommands ----------------------------------------------------------
 
 
-def _run_family_piezas(args) -> int:
+def _run_family_piezas(args) -> tuple:
     x, y, block_length = piezas_numerals(args.fermat_index, args.t)
-    if args.format == "records":
-        print(
-            _record(
-                {
-                    "family": "piezas",
-                    "fermat_index": args.fermat_index,
-                    "t": args.t,
-                    "block_length": block_length,
-                    "x": x,
-                    "y": y,
-                    "verified": True,
-                }
-            )
-        )
-        return _EXIT_OK
-    print(f"block length {block_length}")
-    print(f"x = {elide_numeral(x, args.elide)}")
-    print(f"y = {elide_numeral(y, args.elide)}")
-    print("verified: x*10^L + y = x^2 + y^2 holds exactly")
-    return _EXIT_OK
+
+    def records():
+        yield {
+            "family": "piezas",
+            "fermat_index": args.fermat_index,
+            "t": args.t,
+            "block_length": block_length,
+            "x": x,
+            "y": y,
+            "verified": True,
+        }
+
+    def lines():
+        yield f"block length {block_length}"
+        yield f"x = {elide_numeral(x, args.elide)}"
+        yield f"y = {elide_numeral(y, args.elide)}"
+        yield "verified: x*10^L + y = x^2 + y^2 holds exactly"
+
+    return _EXIT_OK, records(), lines()
 
 
-def _run_family_vitalis(args) -> int:
+def _run_family_vitalis(args) -> tuple:
     x, y, z, n = vitalis_generate(args.repeat)
-    if args.format == "records":
-        print(
-            _record(
-                {
-                    "family": "vitalis",
-                    "repeat": args.repeat,
-                    "x": decimal_str(x),
-                    "y": decimal_str(y),
-                    "z": decimal_str(z),
-                    "value": decimal_str(n),
-                    "verified": True,
-                }
-            )
-        )
-        return _EXIT_OK
-    print(f"x = {elide_numeral(x, args.elide)}")
-    print(f"y = {elide_numeral(y, args.elide)}")
-    print(f"z = {elide_numeral(z, args.elide)}")
-    print(f"x^3 + y^3 + z^3 = {elide_numeral(n, args.elide)}")
-    print("verified: identity holds exactly")
-    return _EXIT_OK
+
+    def records():
+        yield {
+            "family": "vitalis",
+            "repeat": args.repeat,
+            "x": decimal_str(x),
+            "y": decimal_str(y),
+            "z": decimal_str(z),
+            "value": decimal_str(n),
+            "verified": True,
+        }
+
+    def lines():
+        yield f"x = {elide_numeral(x, args.elide)}"
+        yield f"y = {elide_numeral(y, args.elide)}"
+        yield f"z = {elide_numeral(z, args.elide)}"
+        yield f"x^3 + y^3 + z^3 = {elide_numeral(n, args.elide)}"
+        yield "verified: identity holds exactly"
+
+    return _EXIT_OK, records(), lines()
 
 
 # -- corpus ----------------------------------------------------------------------
 
 
-def _run_corpus_check(args) -> int:
+def _run_corpus_check(args) -> tuple:
     report = corpus_check()
     mismatches = report.mismatches
-    if args.format == "records":
-        for r in report.results:
-            print(
-                _record(
-                    {
-                        "id": r.entry.id,
-                        "ok": r.ok,
-                        "erratum": r.entry.erratum,
-                        "expected": r.entry.expected,
-                        "actual": r.actual,
-                    }
-                )
-            )
-    else:
+    records = (
+        {
+            "id": r.entry.id,
+            "ok": r.ok,
+            "erratum": r.entry.erratum,
+            "expected": r.entry.expected,
+            "actual": r.actual,
+        }
+        for r in report.results
+    )
+
+    def lines():
         for r in report.results:
             tag = " [erratum, must fail]" if r.entry.erratum else ""
             if r.ok:
-                print(f"ok       {r.entry.id}{tag}")
+                yield f"ok       {r.entry.id}{tag}"
             else:
-                print(f"MISMATCH {r.entry.id}{tag}")
-                print(f"         expected: {r.entry.expected}")
-                print(f"         actual:   {r.actual}")
-        print(f"{len(report.results)} entries, {len(mismatches)} mismatches")
-    return _EXIT_CORPUS if mismatches else _EXIT_OK
+                yield f"MISMATCH {r.entry.id}{tag}"
+                yield f"         expected: {r.entry.expected}"
+                yield f"         actual:   {r.actual}"
+        yield f"{len(report.results)} entries, {len(mismatches)} mismatches"
+
+    return (_EXIT_CORPUS if mismatches else _EXIT_OK), records, lines()
 
 
 def _check_jobs(text: str | None) -> None:
@@ -686,7 +688,12 @@ def main(argv=None) -> int:
         _check_jobs(getattr(args, "jobs", None))
         if getattr(args, "elide", 0) < 0:
             raise ConfigurationError(f"--elide must be a natural number, got {args.elide}")
-        return args.run(args)
+        code, records, lines = args.run(args)
+        if args.format == "records":
+            lines = map(_record, records)
+        for line in lines:
+            print(line)
+        return code
     except UnsupportedFunctionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_UNSUPPORTED

@@ -89,22 +89,17 @@ class BlockVector(Record):
         return self.base**self.block_width
 
 
-def _digits_lsb(n: int, base: int) -> list[int]:
-    """Raw digit list used by the hot search paths; skips the DigitVector record."""
-    if n == 0:
-        return [0]
-    out = []
-    while n:
-        n, r = divmod(n, base)
-        out.append(r)
-    return out
-
-
 def to_digits(n: int, base: int) -> DigitVector:
     """Canonical least-significant-first expansion of ``n`` in ``base``."""
     _check_base(base)
     _check_natural(n)
-    return DigitVector(tuple(_digits_lsb(n, base)), base)
+    if n == 0:
+        return DigitVector((0,), base)
+    out = []
+    while n:
+        n, r = divmod(n, base)
+        out.append(r)
+    return DigitVector(tuple(out), base)
 
 
 def from_digits(d: DigitVector) -> int:

@@ -3,8 +3,7 @@
 A :class:`FunctionSpec` is a small declarative value describing one function
 F: N -> N (a power, a self-power, an exponential with fixed base, factorial,
 subfactorial, Fibonacci, or a rational-coefficient polynomial).  Evaluation is
-exact big-integer arithmetic; each spec also carries growth metadata that the
-bounds module uses to decide which finiteness argument applies.
+exact big-integer arithmetic.
 
 Specs have a canonical text form (``pow:5``, ``selfpow``, ``selfpow:0``,
 ``expbase:4``, ``factorial``, ``subfactorial``, ``fib``, ``poly:1,0,0``) that
@@ -24,7 +23,6 @@ from .errors import ConfigurationError
 
 __all__ = [
     "FunctionSpec",
-    "GrowthClass",
     "evaluate",
     "factorial",
     "fibonacci",
@@ -41,16 +39,6 @@ _KINDS = (
     "fibonacci",
     "polynomial",
 )
-
-
-class GrowthClass(Record):
-    """How fast a catalog function grows; consumed by the bounds module.
-
-    ``kind`` is one of polynomial, factorial_like, exponential or
-    self_exponential.
-    """
-
-    __slots__ = ("kind",)
 
 
 class FunctionSpec(Record):
@@ -140,17 +128,6 @@ class FunctionSpec(Record):
         if self.kind == "fibonacci":
             return f"F({x})"
         return f"p({x})"
-
-    @property
-    def growth_class(self) -> GrowthClass:
-        # Fixed mapping from kind; the search bounds dispatch on this.
-        if self.kind in ("power", "polynomial"):
-            return GrowthClass("polynomial")
-        if self.kind in ("factorial", "subfactorial"):
-            return GrowthClass("factorial_like")
-        if self.kind in ("exp_base", "fibonacci"):
-            return GrowthClass("exponential")
-        return GrowthClass("self_exponential")
 
     def __call__(self, x: int) -> int:
         return evaluate(self, x)

@@ -690,11 +690,14 @@ def _pair_moves(lam: int, base: int, c_low: int, c_high: int, outer: bool) -> li
 
 
 def _reversal_automaton(lam: int, base: int, k: int):
-    """The live part of the carry automaton for one lam, and its closing rule.
+    """The live part of the carry automaton for one lam, its closing rule and
+    its number of hits.
 
-    Returns (layers, middle): layers[i] maps each live state after i pairs
-    to its moves (y, x, next state) into live states, and middle(state) is
-    the middle's share of n when the pairs meet in that state, or None.
+    Returns (layers, middle, count): layers[i] maps each live state after i
+    pairs to its moves (y, x, next state) into live states, middle(state) is
+    the middle's share of n when the pairs meet in that state, or None, and
+    count is the number of paths from the start through the live layers, one
+    per hit.
     """
     half = k // 2
 
@@ -711,34 +714,21 @@ def _reversal_automaton(lam: int, base: int, k: int):
     while len(layers) < half:
         reached = {nxt for moves in layers[-1].values() for _, _, nxt in moves}
         layers.append({state: inner(state) for state in reached})
-    # backward: keep only the moves into states that can still close
-    live = {
-        nxt for moves in layers[-1].values() for _, _, nxt in moves if middle(*nxt) is not None
+    # backward: keep only the moves into states that can still close, and
+    # count the paths from each live state to a close, one addition per move
+    paths = {
+        nxt: 1 for moves in layers[-1].values() for _, _, nxt in moves if middle(*nxt) is not None
     }
     for level in reversed(range(half)):
-        pruned = {}
+        pruned, counts = {}, {}
         for state, moves in layers[level].items():
-            kept = [move for move in moves if move[2] in live]
+            kept = [move for move in moves if move[2] in paths]
             if kept:
                 pruned[state] = kept
+                counts[state] = sum(paths[nxt] for _, _, nxt in kept)
         layers[level] = pruned
-        live = pruned.keys()
-    return layers, middle
-
-
-def _count_paths(layers) -> int:
-    """Paths from the start state through the live layers: one per hit.
-
-    A count over a layered DAG, from the middle outwards, one addition per move.
-    """
-    paths: dict = {}
-    for level in reversed(range(len(layers))):
-        last = level == len(layers) - 1
-        paths = {
-            state: sum(1 if last else paths[nxt] for _, _, nxt in moves)
-            for state, moves in layers[level].items()
-        }
-    return sum(paths.values())
+        paths = counts
+    return layers, middle, sum(paths.values())
 
 
 def _reversal_values(layers, middle, base: int, k: int) -> list[int]:
@@ -773,14 +763,16 @@ def search_reversal(base: int, num_digits: int) -> Hits:
     if num_digits < 2:
         raise ConfigurationError(f"reversal search needs at least 2 digits, got {num_digits}")
     automata = [_reversal_automaton(lam, base, num_digits) for lam in range(2, base)]
-    count = sum(_count_paths(layers) for layers, _ in automata)
+    count = sum(count for _, _, count in automata)
     if count > _REVERSAL_HIT_BUDGET:
         raise ConfigurationError(
             f"base {base} has {elide_numeral(count)} reversal multiples of {num_digits} digits, "
             f"more than the {_REVERSAL_HIT_BUDGET} one search lists"
         )
     values = sorted(
-        v for layers, middle in automata for v in _reversal_values(layers, middle, base, num_digits)
+        v
+        for layers, middle, _ in automata
+        for v in _reversal_values(layers, middle, base, num_digits)
     )
     return Hits([reversal_hit(n, base) for n in values], base**num_digits - 1)
 

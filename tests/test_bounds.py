@@ -20,7 +20,7 @@ from conftest import (
 
 # every catalog spec under both 0**0 conventions, and two polynomials
 CERTIFIED_SPECS = [*CATALOG_SPEC_TEXTS, "selfpow:0", "poly:1/2,1/2,0", "poly:2,0,3"]
-POLYNOMIAL_SPECS = [t for t in CERTIFIED_SPECS if parse_spec(t).growth_class.kind == "polynomial"]
+POLYNOMIAL_SPECS = [t for t in CERTIFIED_SPECS if parse_spec(t).kind in ("power", "polynomial")]
 
 # a block width 1-3 and a base 2-36 whose block radix is at most 4096
 widths_and_bases = st.integers(1, 3).flatmap(

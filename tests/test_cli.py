@@ -18,7 +18,7 @@ from digitfix.bounds import BoundReport, CutoffReport, PowerSumBound
 from digitfix.cli import main
 from digitfix.digitops import group_blocks
 from digitfix.funcatalog import evaluate, parse_spec
-from digitfix.search import Hits
+from digitfix.search import FAMILY_TABLE, Hits
 
 
 def run(capsys, *argv):
@@ -210,8 +210,9 @@ class TestSearchCommands:
 
 
 # One argv per search family and engine, frozen from the seven hand-written
-# runners the generic search runner replaced: (argv, format, exit code,
-# sha256 of stdout).
+# runners the generic search runner replaced, and one per bound, family and
+# corpus command, frozen before the runners handed their output to main:
+# (argv, format, exit code, sha256 of stdout).
 GOLDEN = [
     ("search hardy --fn factorial", "text", 0, "32a342b1a874d193be6ba3b10323e0028f29b0c7c82c30a35730c108ec6d53dc"),
     ("search hardy --fn factorial", "records", 0, "105a7043e10339ed7c72d8b24c14bdb1f5b2495fccfbcdd989fa75901777a89c"),
@@ -233,14 +234,111 @@ GOLDEN = [
     ("search powersum --fn pow:3 --engine scan", "records", 0, "894fdd129150a29c228e02541a4840718d6619fe4f3b75c0518eedd1f3853bc4"),
     ("search reversal --digits 6", "text", 0, "5862f8c35b8c078e132c9b63370a29603c5161ab581248ae9d740779c09cd243"),
     ("search reversal --digits 6", "records", 0, "601304d33f39dd2a58fe8437505f217913da4e209721fe6f9cb1128f7f80861b"),
+    ("bound hardy --fn pow:5", "text", 0, "74815a7434ee1a1f831eb1da6c946c049a1b80f400cbe55ca096a7d3e797284e"),
+    ("bound hardy --fn pow:5", "records", 0, "08636de44b534ab3818b43961cacdf8373619f0e54162ae13e4d1497c4ab347c"),
+    ("bound wells --fn factorial", "text", 0, "1e30b9ea541ced56b98bff6f4f74910e72086bacd70b6c9bdacb2460f4ee59e7"),
+    ("bound wells --fn factorial", "records", 0, "ba068410cdf4174c68e9a4dbae9e6067216bb3d71c2323ae491d15f2dd80c418"),
+    ("bound dudeney --fn pow:3", "text", 0, "d19af39b43fb52773aabed2f43d7f99885dcba5ae2f6c36ee6ed9dcda16d41c6"),
+    ("bound dudeney --fn pow:3", "records", 0, "4a6e59bb2df4ff3c11dfb9a0f41a7ae23086fd8ea006e5a6b25972baa14d3f76"),
+    ("bound powersum --fn pow:3", "text", 0, "d4e9f1226074fa3ab67a8709177f28515ccf65927547020fc64804ce29f4010a"),
+    ("bound powersum --fn pow:3", "records", 0, "9cf6a5ca9484281f8e989016df9b980739900f89915058a0300c3cd17fd474d6"),
+    ("family piezas --fermat-index 3 --t 1", "text", 0, "3badb5cb7f7554d614fa4ac1e9056789062fa97127ebdc1bcb7fd34c022dde54"),
+    ("family piezas --fermat-index 3 --t 1", "records", 0, "3addd44a9db66e3131a69547b67bab76683aa9413eae3e134c73bcaa9b295971"),
+    ("family vitalis -l 50", "text", 0, "7ed132c95d675ecdbac28a832fbf9a6a364c27abd14e9afe02d678cb31e1e15c"),
+    ("family vitalis -l 50", "records", 0, "a16450e882cd1b9acb58107fdd82ffba0d28b02c10991363f5f916866fb73bb8"),
+    ("corpus check", "text", 0, "1047b805128daef644f2b3d07ae7edd1ffbafa37d64f29eb148814044ab0d217"),
+    ("corpus check", "records", 0, "c8be6b6cdc0a0e9b7499c2fd475ac1c35fa7a07a26485c4f65c446d5de191d2c"),
 ]
 
 
 @pytest.mark.parametrize("argv, fmt, exit_code, digest", GOLDEN, ids=[f"{a} {f}" for a, f, _, _ in GOLDEN])
-def test_search_output_is_frozen(capsys, argv, fmt, exit_code, digest):
+def test_output_is_frozen(capsys, argv, fmt, exit_code, digest):
     code, out, _ = run(capsys, *argv.split(), "--format", fmt)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Each runner hands main its records and its text lines, and main writes the
+# ones --format names.  Both are built only when main asks for them: with every
+# text renderer raising, records mode still succeeds, and with the record writer
+# (and the numeral conversion that only records use) raising, text mode does;
+# either way the output is the unpatched one.
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("rendered for the format that was not asked for")
+
+
+class _Uncounted(tuple):
+    """Corpus results whose count, which only the text summary takes, refuses."""
+
+    def __len__(self):
+        _refuse()
+
+
+def _refuse_text(monkeypatch):
+    import digitfix.cli as cli
+
+    monkeypatch.setattr(cli, "elide_numeral", _refuse)
+    for family in FAMILY_TABLE.values():
+        monkeypatch.setattr(family, "line", _refuse)
+        monkeypatch.setattr(family, "summary", SimpleNamespace(format=_refuse))
+    for kind, (help_text, derivation, arguments, _) in cli._BOUNDS.items():
+        monkeypatch.setitem(cli._BOUNDS, kind, (help_text, derivation, arguments, _refuse))
+    check = cli.corpus_check
+
+    def uncounted():
+        report = check()
+        return SimpleNamespace(results=_Uncounted(report.results), mismatches=report.mismatches)
+
+    monkeypatch.setattr(cli, "corpus_check", uncounted)
+
+
+def _renders_each_format_alone(capsys, monkeypatch, argv, code=0):
+    import digitfix.cli as cli
+
+    for fmt in ("records", "text"):
+        expected = run(capsys, *argv, "--format", fmt)
+        assert expected[0] == code and expected[1], (argv, fmt, expected)
+        with monkeypatch.context() as patched:
+            if fmt == "records":
+                _refuse_text(patched)
+            else:
+                patched.setattr(cli, "_record", _refuse)
+                patched.setattr(cli, "decimal_str", _refuse)
+            assert run(capsys, *argv, "--format", fmt) == expected, (argv, fmt)
+
+
+class TestEachFormatRendersAlone:
+    @pytest.mark.parametrize("argv", sorted({a for a, _, _, _ in GOLDEN if a.startswith("search ")}))
+    def test_search(self, capsys, monkeypatch, argv):
+        _renders_each_format_alone(capsys, monkeypatch, argv.split())
+
+    @pytest.mark.parametrize("kind, fn", [
+        ("hardy", "pow:5"), ("wells", "factorial"), ("dudeney", "pow:3"), ("powersum", "pow:3"),
+    ])
+    def test_bound(self, capsys, monkeypatch, kind, fn):
+        _renders_each_format_alone(capsys, monkeypatch, ["bound", kind, "--fn", fn])
+
+    def test_family_piezas(self, capsys, monkeypatch):
+        argv = ["family", "piezas", "--fermat-index", "3", "--t", "1", "--elide", "50"]
+        _renders_each_format_alone(capsys, monkeypatch, argv)
+
+    def test_family_vitalis(self, capsys, monkeypatch):
+        argv = ["family", "vitalis", "-l", "50", "--elide", "50"]
+        _renders_each_format_alone(capsys, monkeypatch, argv)
+
+    def test_corpus_check(self, capsys, monkeypatch):
+        _renders_each_format_alone(capsys, monkeypatch, ["corpus", "check"])
+
+    def test_corpus_check_mismatch(self, capsys, monkeypatch):
+        import digitfix.cli as cli
+        from digitfix.corpus import CorpusEntry, CorpusReport, EntryResult
+
+        entry = CorpusEntry(id="drifted", kind="search", family="hardy", fn="pow:3", expected=[1])
+        report = CorpusReport(results=(EntryResult(entry=entry, ok=False, actual=[1, 153]),))
+        monkeypatch.setattr(cli, "corpus_check", lambda: report)
+        _renders_each_format_alone(capsys, monkeypatch, ["corpus", "check"], code=1)
 
 
 # Every README "Command line" line and every distinct argv of the benchmark
@@ -678,12 +776,6 @@ class TestDeterminism:
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_jobs_default_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIGITFIX_JOBS", "2")
-        code, out, _ = run(capsys, "search", "hardy", "--fn", "pow:4", "--format", "records")
-        assert code == 0
-        assert [r["value"] for r in records(out)] == [1, 1634, 8208, 9474]
-
     @pytest.mark.parametrize("flag", ["abc", "0", "-3", "x"])
     def test_bad_jobs_exit_two_with_one_line(self, capsys, flag):
         code, out, err = run(capsys, "search", "hardy", "--fn", "pow:3", "--jobs", flag)
@@ -698,6 +790,7 @@ class TestDeterminism:
             ["family", "piezas", "--fermat-index", "2", "--format", "records"],
             ["bound", "wells", "--fn", "factorial"],
             ["search", "reversal", "--digits", "4"],
+            ["search", "hardy", "--fn", "pow:4", "--format", "records"],
         ],
     )
     def test_no_command_reads_a_jobs_environment_variable(self, capsys, monkeypatch, argv):

@@ -122,11 +122,3 @@ def test_parser_rejects_everything_else(bad):
     with pytest.raises(ConfigurationError):
         parse_spec(bad)
 
-
-def test_growth_class_mapping():
-    assert FunctionSpec.power(4).growth_class.kind == "polynomial"
-    assert FunctionSpec.factorial().growth_class.kind == "factorial_like"
-    assert FunctionSpec.subfactorial().growth_class.kind == "factorial_like"
-    assert FunctionSpec.exp_base(3).growth_class == FunctionSpec.exp_base(3).growth_class
-    assert FunctionSpec.fibonacci().growth_class.kind == "exponential"
-    assert FunctionSpec.self_power().growth_class.kind == "self_exponential"

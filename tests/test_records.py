@@ -14,7 +14,7 @@ from digitfix.corpus import CorpusEntry, CorpusReport, EntryResult
 from digitfix.digitops import BlockVector, DigitVector
 from digitfix.errors import ConfigurationError
 from digitfix.families import ConcatSquarePair, PiezasParams
-from digitfix.funcatalog import FunctionSpec, GrowthClass
+from digitfix.funcatalog import FunctionSpec
 from digitfix.search import ReversalHit, SearchConfig, SearchHit
 
 _ENTRY = CorpusEntry("cubes", "search", (1, 153), family="hardy", fn="pow:3")
@@ -37,7 +37,6 @@ _ENTRY_DEFAULTS = {
 RECORDS = [
     (DigitVector, ((3, 5, 1), 10), {}, ("base", 11)),
     (BlockVector, ((56, 34, 12), 10, 2), {}, ("block_width", 3)),
-    (GrowthClass, ("polynomial",), {}, ("kind", "exponential")),
     (
         FunctionSpec,
         ("self_power", None, None, None, 0),

@@ -16,7 +16,6 @@ from digitfix.search import (
     FAMILIES,
     FAMILY_TABLE,
     SearchConfig,
-    _count_paths,
     _matches,
     _multiset_length,
     _multiset_search,
@@ -797,16 +796,12 @@ class TestSearchReversal:
         while len(fib) < 200:
             fib.append(fib[-1] + fib[-2])
         for k in list(range(2, 61)) + [199, 200, 201, 400]:
-            counts = {
-                lam: _count_paths(_reversal_automaton(lam, 10, k)[0]) for lam in range(2, 10)
-            }
+            counts = {lam: _reversal_automaton(lam, 10, k)[2] for lam in range(2, 10)}
             assert counts == {lam: fib[k // 2 - 1] if lam in (4, 9) else 0 for lam in counts}, k
 
     def test_counts_equal_listed_hits(self):
         for base, k in ((3, 30), (5, 9), (8, 7), (10, 30), (12, 6), (16, 5)):
-            total = sum(
-                _count_paths(_reversal_automaton(lam, base, k)[0]) for lam in range(2, base)
-            )
+            total = sum(_reversal_automaton(lam, base, k)[2] for lam in range(2, base))
             assert total == len(search_reversal(base, k)), (base, k)
 
     def test_refused_above_the_budget(self, monkeypatch):
@@ -820,7 +815,7 @@ class TestSearchReversal:
 
     def test_refusal_names_the_budget_past_the_int_to_str_limit(self):
         # 6200 digits have about 2 * F(3099) hits, a count of 648 decimal digits
-        count = sum(_count_paths(_reversal_automaton(lam, 10, 6200)[0]) for lam in range(2, 10))
+        count = sum(_reversal_automaton(lam, 10, 6200)[2] for lam in range(2, 10))
         count_text = str(count)
         assert len(count_text) > 640
         limit = sys.get_int_max_str_digits()
