@@ -26,14 +26,11 @@ from .bounds import (
 )
 from .digitops import (
     BlockVector,
-    DigitVector,
     digit_count,
     digit_sum,
     from_blocks,
-    from_digits,
     group_blocks,
     reverse_digits,
-    to_digits,
 )
 from .errors import ConfigurationError, UnsupportedFunctionError
 from .families import (
@@ -67,7 +64,6 @@ __all__ = [
     "ConcatSquarePair",
     "ConfigurationError",
     "CutoffReport",
-    "DigitVector",
     "FunctionSpec",
     "PiezasParams",
     "PowerSumBound",
@@ -83,7 +79,6 @@ __all__ = [
     "factorial",
     "fibonacci",
     "from_blocks",
-    "from_digits",
     "group_blocks",
     "hardy_bound",
     "parse_spec",
@@ -99,7 +94,6 @@ __all__ = [
     "search_wells",
     "search_wells_reverse",
     "subfactorial",
-    "to_digits",
     "verify_concat_square",
     "vitalis_generate",
     "wells_cutoff",

@@ -22,7 +22,7 @@ from ._record import Record
 from .digitops import digit_count
 from .errors import ConfigurationError, UnsupportedFunctionError
 from .families import decimal_str
-from .funcatalog import FunctionSpec, evaluate, fibonacci, subfactorial
+from .funcatalog import FunctionSpec, evaluate, fibonacci, images
 
 __all__ = [
     "BoundReport",
@@ -182,7 +182,9 @@ def wells_cutoff(spec: FunctionSpec, base: int) -> CutoffReport:
     if kind == "subfactorial":
         n = max(base, 2)
         power = base**n
-        while subfactorial(n) < power:
+        for value in images(spec, n):
+            if value >= power:
+                break
             n += 1
             power *= base
         return CutoffReport(n, "analytic", _wells_witnesses(spec, base, n, "ge"))
@@ -209,12 +211,7 @@ def wells_cutoff(spec: FunctionSpec, base: int) -> CutoffReport:
         return CutoffReport(n, "analytic", _wells_witnesses(spec, base, n, "lt"))
 
     if kind in ("power", "polynomial"):
-        if kind == "power":
-            degree = spec.exponent
-            cmaj = 1
-        else:
-            degree = len(spec.coeffs) - 1
-            cmaj = sum(abs(c) for c in spec.coeffs)
+        cmaj, degree = _poly_majorant(spec)
         n = 1
         while (n + 1) ** degree > base * n**degree:
             n += 1

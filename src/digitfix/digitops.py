@@ -19,14 +19,11 @@ from .errors import ConfigurationError
 
 __all__ = [
     "BlockVector",
-    "DigitVector",
     "digit_count",
     "digit_sum",
     "from_blocks",
-    "from_digits",
     "group_blocks",
     "reverse_digits",
-    "to_digits",
 ]
 
 
@@ -40,36 +37,13 @@ def _check_natural(n: int) -> None:
         raise ValueError(f"expected a natural number, got {n}")
 
 
-class DigitVector(Record):
-    """Positional digits of a natural number, least-significant first.
-
-    The canonical form produced by :func:`to_digits` has no leading zeros
-    except for the value 0, which is represented as ``(0,)``.  Vectors with
-    redundant leading zeros are accepted by :func:`from_digits` but never
-    produced.
-    """
-
-    __slots__ = ("digits", "base")
-
-    def _check(self) -> None:
-        base = self.base
-        _check_base(base)
-        if not self.digits:
-            raise ValueError("digit vector must hold at least one digit")
-        for d in self.digits:
-            if not 0 <= d < base:
-                raise ValueError(f"digit {d} out of range for base {base}")
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.digits == (0,) or self.digits[-1] != 0
-
-
 class BlockVector(Record):
     """Width-``k`` digit blocks of a number, least-significant first.
 
     Each block is the value of ``k`` consecutive base-``base`` digits, so the
-    blocks are the digits of the number in radix ``base**block_width``.
+    blocks are the digits of the number in radix ``base**block_width``; at
+    width 1 they are its base-``base`` digits.  A vector holds at least one
+    block: :func:`group_blocks` writes 0 as ``(0,)``.
     """
 
     __slots__ = ("blocks", "base", "block_width")
@@ -79,6 +53,8 @@ class BlockVector(Record):
         _check_base(base)
         if block_width < 1:
             raise ConfigurationError(f"block width must be at least 1, got {block_width}")
+        if not self.blocks:
+            raise ValueError("block vector must hold at least one block")
         radix = base**block_width
         for v in self.blocks:
             if not 0 <= v < radix:
@@ -87,31 +63,6 @@ class BlockVector(Record):
     @property
     def radix(self) -> int:
         return self.base**self.block_width
-
-
-def to_digits(n: int, base: int) -> DigitVector:
-    """Canonical least-significant-first expansion of ``n`` in ``base``."""
-    _check_base(base)
-    _check_natural(n)
-    if n == 0:
-        return DigitVector((0,), base)
-    out = []
-    while n:
-        n, r = divmod(n, base)
-        out.append(r)
-    return DigitVector(tuple(out), base)
-
-
-def from_digits(d: DigitVector) -> int:
-    """Reassemble a digit vector: sum of ``digits[i] * base**i``.
-
-    Exact inverse of :func:`to_digits` on canonical vectors; also accepts
-    vectors with leading zeros.
-    """
-    value = 0
-    for digit in reversed(d.digits):
-        value = value * d.base + digit
-    return value
 
 
 def digit_sum(n: int, base: int) -> int:

@@ -12,11 +12,15 @@ round-trips through :func:`parse_spec`.  ``selfpow`` takes 0**0 = 1 and
 coefficients are listed leading-first, so ``poly:1,0,0`` is x^2; coefficients
 may be fractions such as ``1/2``.  Only polynomial specs import ``fractions``,
 when one is built.
+
+Nothing is cached: :func:`evaluate` computes each value afresh, and a walk
+over consecutive arguments steps along :func:`images` instead.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import count
 
 from ._record import Record
 from .errors import ConfigurationError
@@ -26,6 +30,7 @@ __all__ = [
     "evaluate",
     "factorial",
     "fibonacci",
+    "images",
     "parse_spec",
     "subfactorial",
 ]
@@ -39,6 +44,8 @@ _KINDS = (
     "fibonacci",
     "polynomial",
 )
+# the field each kind reads besides ``kind``; no other kind may set it
+_OWN_FIELD = {"power": "exponent", "exp_base": "expbase", "polynomial": "coeffs"}
 
 
 class FunctionSpec(Record):
@@ -62,6 +69,11 @@ class FunctionSpec(Record):
             raise ConfigurationError("polynomial needs at least one coefficient")
         if zero_self_power not in (0, 1):
             raise ConfigurationError("zero_self_power must be 0 or 1")
+        for name in _OWN_FIELD.values():
+            if getattr(self, name) is not None and _OWN_FIELD.get(kind) != name:
+                raise ConfigurationError(f"a {kind} spec takes no {name}")
+        if zero_self_power == 0 and kind != "self_power":
+            raise ConfigurationError(f"a {kind} spec takes no zero_self_power")
 
     # -- constructors ------------------------------------------------------
     # Each passes every field in order, the fast path of Record's constructor.
@@ -166,23 +178,23 @@ def factorial(x: int) -> int:
     return math.factorial(x)
 
 
-# Derangement counts, extended on demand.  Appends of idempotent values are
-# safe under concurrent readers; results are identical with or without reuse.
-_SUBFACT: list[int] = [1, 0]
+def _next_subfactorial(x: int, previous: int) -> int:
+    """!x from !(x-1) by the recurrence !x = x * !(x-1) + (-1)**x."""
+    return x * previous - 1 if x & 1 else x * previous + 1
 
 
 def subfactorial(x: int) -> int:
-    """Derangement count !x via the recurrence !x = (x-1)(!(x-1) + !(x-2)).
+    """Derangement count !x, by the recurrence of :func:`_next_subfactorial` from !0 = 1.
 
     Stays in integer arithmetic throughout; equals the alternating-sum form
     x! * sum((-1)^i / i!) after clearing denominators.
     """
     if x < 0:
         raise ValueError(f"subfactorial is defined for x >= 0, got {x}")
-    while len(_SUBFACT) <= x:
-        k = len(_SUBFACT)
-        _SUBFACT.append((k - 1) * (_SUBFACT[k - 1] + _SUBFACT[k - 2]))
-    return _SUBFACT[x]
+    value = 1
+    for k in range(1, x + 1):
+        value = _next_subfactorial(k, value)
+    return value
 
 
 def _fib_pair(k: int) -> tuple[int, int]:
@@ -234,3 +246,24 @@ def evaluate(spec: FunctionSpec, x: int) -> int:
     if acc.denominator != 1 or acc < 0:
         raise ValueError(f"polynomial value {acc} at x={x} is not a natural number")
     return int(acc)
+
+
+# the value at x from the value at x - 1, one multiplication per step
+_STEPS = {
+    "factorial": lambda spec, x, previous: x * previous,
+    "subfactorial": lambda spec, x, previous: _next_subfactorial(x, previous),
+    "exp_base": lambda spec, x, previous: spec.expbase * previous,
+}
+
+
+def images(spec: FunctionSpec, start: int, stop: int | None = None):
+    """F(start), F(start + 1), ..., F(stop - 1), or without end when stop is None.
+
+    Factorial, subfactorial and exp_base step from the value before with one
+    multiplication; the other kinds evaluate each x, as :func:`evaluate` does.
+    """
+    step = _STEPS.get(spec.kind)
+    value = None
+    for x in count(start) if stop is None else range(start, stop):
+        value = evaluate(spec, x) if value is None or step is None else step(spec, x, value)
+        yield value

@@ -94,7 +94,7 @@ from .bounds import (
 from .digitops import digit_count, digit_sum, group_blocks, reverse_digits
 from .errors import ConfigurationError, UnsupportedFunctionError
 from .families import elide_numeral
-from .funcatalog import FunctionSpec, evaluate, parse_spec
+from .funcatalog import FunctionSpec, evaluate, images, parse_spec
 
 __all__ = [
     "FAMILIES",
@@ -302,7 +302,7 @@ def _table_depth(radix: int, hi: int) -> int:
 @lru_cache(maxsize=3)
 def _tables(spec: FunctionSpec, base: int, width: int, depth: int):
     radix = base**width
-    f_vals = [evaluate(spec, v) for v in range(radix)]
+    f_vals = list(images(spec, 0, radix))
     table = f_vals
     for _ in range(depth - 1):
         table = [fh + t for fh in f_vals for t in table]
@@ -472,7 +472,7 @@ def _multiset_search(
 ) -> list[int] | None:
     """The hits of lengths 1..max_len, or None once ``budget`` nodes are popped
     over all lengths."""
-    f_vals = [evaluate(spec, d) for d in range(base)]
+    f_vals = list(images(spec, 0, base))
     hits = []
     for m in range(1, max_len + 1):
         found = _multiset_length(f_vals, base, m, cap, budget)
@@ -490,12 +490,7 @@ def search_hardy(cfg: SearchConfig) -> Hits:
     """All n up to the derived ceiling (or cap) equal to the F-sum of their blocks."""
     if cfg.spec is None:
         raise ConfigurationError("a function spec is required")
-    if cfg.cap is not None:
-        ceiling = cfg.cap
-        bound = None
-    else:
-        bound = hardy_bound(cfg.spec, cfg.base, cfg.width)
-        ceiling = bound.n_max
+    ceiling = cfg.cap if cfg.cap is not None else hardy_bound(cfg.spec, cfg.base, cfg.width).n_max
     engine, budget = cfg.engine, -1
     if engine == "auto":
         # a multiset node costs about six table entries, so a budget of a
@@ -503,11 +498,10 @@ def search_hardy(cfg: SearchConfig) -> Hits:
         engine = "multiset" if cfg.width == 1 else "scan"
         budget = _scan_work(cfg.base**cfg.width, ceiling + 1) // 6
     if engine == "multiset":
-        if bound is None:
-            length, cap = digit_count(ceiling, cfg.base), ceiling
-        else:
-            length, cap = bound.block_threshold - 1, None
-        values = _multiset_search(cfg.spec, cfg.base, length, cap, budget)
+        # a derived ceiling (M-1)*s has exactly M-1 digits, so its lengths are
+        # the ones the bound leaves; a ceiling of 0 leaves none
+        length = digit_count(ceiling, cfg.base) if ceiling else 0
+        values = _multiset_search(cfg.spec, cfg.base, length, ceiling, budget)
         if values is None:
             engine = "scan"  # auto's budget ran out
         else:
@@ -585,8 +579,7 @@ def search_wells(
     if include_zero and _zero_image(spec) == 0:
         values.append(0)
     power = 1  # base**(n-1), advanced alongside n
-    for n in range(1, last + 1):
-        fn = evaluate(spec, n)
+    for n, fn in enumerate(images(spec, 1, last + 1), 1):
         if power <= fn < power * base:
             values.append(n)
         power *= base
@@ -629,8 +622,8 @@ def search_dudeney(
     values = []
     if include_zero and _zero_image(spec) == 0:
         values.append(0)
-    for n in range(1, last + 1):
-        if digit_sum(evaluate(spec, n), base) == n:
+    for n, fn in enumerate(images(spec, 1, last + 1), 1):
+        if digit_sum(fn, base) == n:
             values.append(n)
     return Hits([dudeney_hit(v, base, spec) for v in values], ceiling)
 

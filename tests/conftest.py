@@ -29,6 +29,11 @@ CATALOG_SPEC_TEXTS = [
 ]
 
 
+def with_zero_pow(spec, zero_pow: int):
+    """The spec under the 0**0 convention zero_pow; only a self-power reads one."""
+    return spec.replace(zero_self_power=zero_pow) if spec.kind == "self_power" else spec
+
+
 def digits_of(n: int, base: int) -> list[int]:
     if n == 0:
         return [0]
@@ -136,7 +141,7 @@ def oracle_floor_log(n: int, base: int) -> int:
 
 def oracle_hardy(fn_text: str, base: int, width: int, ceiling: int, zero_pow=1) -> list[int]:
     """Brute-force block-sum fixed points in [1, ceiling] by direct divmod loops."""
-    spec = parse_spec(fn_text).replace(zero_self_power=zero_pow)
+    spec = with_zero_pow(parse_spec(fn_text), zero_pow)
     radix = base**width
     images = [spec(v) for v in range(radix)] if radix <= 4096 else None
     hits = []

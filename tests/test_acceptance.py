@@ -24,7 +24,7 @@ from digitfix.search import (
     search_wells,
 )
 
-from conftest import CATALOG_SPEC_TEXTS
+from conftest import CATALOG_SPEC_TEXTS, with_zero_pow
 
 
 @contextmanager
@@ -41,7 +41,7 @@ def values(hits):
 
 
 def run_hardy(fn, engine="scan", width=1, zero_pow=1, cap=None):
-    spec = parse_spec(fn).replace(zero_self_power=zero_pow)
+    spec = with_zero_pow(parse_spec(fn), zero_pow)
     cfg = SearchConfig(spec=spec, base=10, width=width, engine=engine, cap=cap)
     return values(search_hardy(cfg))
 

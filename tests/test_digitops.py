@@ -4,14 +4,11 @@ from hypothesis import strategies as st
 
 from digitfix.digitops import (
     BlockVector,
-    DigitVector,
     digit_count,
     digit_sum,
     from_blocks,
-    from_digits,
     group_blocks,
     reverse_digits,
-    to_digits,
 )
 from digitfix.errors import ConfigurationError
 from digitfix.funcatalog import fibonacci, subfactorial
@@ -22,34 +19,37 @@ naturals = st.integers(min_value=0, max_value=10**24)
 bases = st.integers(min_value=2, max_value=16)
 
 
-class TestToDigits:
+class TestDigits:
+    """A number's digits are its blocks of width 1."""
+
     def test_examples(self):
-        assert to_digits(3435, 10).digits == (5, 3, 4, 3)
-        assert to_digits(0, 10).digits == (0,)
-        assert to_digits(17, 3).digits == (2, 2, 1)
+        assert group_blocks(3435, 10, 1).blocks == (5, 3, 4, 3)
+        assert group_blocks(0, 10, 1).blocks == (0,)
+        assert group_blocks(17, 3, 1).blocks == (2, 2, 1)
 
     def test_bad_base(self):
         with pytest.raises(ConfigurationError):
-            to_digits(5, 1)
+            group_blocks(5, 1, 1)
 
     @given(naturals, bases)
     def test_round_trip(self, n, b):
-        vec = to_digits(n, b)
-        assert vec.is_canonical
-        assert from_digits(vec) == n
+        assert from_blocks(group_blocks(n, b, 1)) == n
 
 
-class TestFromDigits:
+class TestFromBlocks:
     def test_examples(self):
-        assert from_digits(DigitVector((5, 3, 4, 3), 10)) == 3435
-        assert from_digits(DigitVector((0,), 2)) == 0
-        assert from_digits(DigitVector((2, 2, 1), 3)) == 17
+        assert from_blocks(BlockVector((5, 3, 4, 3), 10, 1)) == 3435
+        assert from_blocks(BlockVector((0,), 2, 1)) == 0
+        assert from_blocks(BlockVector((2, 2, 1), 3, 1)) == 17
+
+    def test_leading_zeros_reassemble(self):
+        assert from_blocks(BlockVector((5, 3, 0, 0), 10, 1)) == 35
 
     def test_malformed_digit_rejected(self):
         with pytest.raises(ValueError):
-            DigitVector((5, 11), 10)
+            BlockVector((5, 11), 10, 1)
         with pytest.raises(ValueError):
-            DigitVector((), 10)
+            BlockVector((), 10, 1)
 
 
 class TestDigitSum:
@@ -130,6 +130,8 @@ class TestGroupBlocks:
     @given(naturals, bases, st.integers(min_value=1, max_value=6))
     def test_reassembly(self, n, b, k):
         bv = group_blocks(n, b, k)
+        # canonical: no leading zero block except in 0 itself
+        assert bv.blocks == (0,) or bv.blocks[-1] != 0
         assert from_blocks(bv) == n
         assert sum(v * bv.radix**i for i, v in enumerate(bv.blocks)) == n
 

@@ -1,7 +1,10 @@
+import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitfix.errors import ConfigurationError
 from digitfix.funcatalog import (
@@ -9,9 +12,12 @@ from digitfix.funcatalog import (
     evaluate,
     factorial,
     fibonacci,
+    images,
     parse_spec,
     subfactorial,
 )
+
+from conftest import CATALOG_SPEC_TEXTS
 
 
 def test_evaluate_examples():
@@ -56,6 +62,44 @@ def test_subfactorial_matches_alternating_sum():
     for x in range(51):
         alt = sum((-1) ** i * factorial(x) // factorial(i) for i in range(x + 1))
         assert subfactorial(x) == alt
+
+
+def _outcome(values):
+    try:
+        return list(values)
+    except ValueError:  # outside the domain, or a polynomial value that is no natural
+        return ValueError
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(
+        [*CATALOG_SPEC_TEXTS, "selfpow:0", "expbase:10", "fib", "poly:1/2,1/2,0", "poly:1/2,0",
+         "poly:1,-10", "poly:0"]
+    ),
+    st.integers(0, 80),
+    st.integers(0, 80),
+)
+def test_images_equal_evaluate(text, start, length):
+    spec = parse_spec(text)
+    expected = _outcome(evaluate(spec, x) for x in range(start, start + length))
+    assert _outcome(images(spec, start, start + length)) == expected
+    assert _outcome(islice(images(spec, start), length)) == expected
+
+
+def test_no_value_outlives_its_call():
+    # nothing is cached: the derangement counts below !800 (about 0.4 MB in
+    # all) are freed as soon as the call or the walk has moved past them
+    tracemalloc.start()
+    try:
+        top = subfactorial(800)
+        for _ in images(FunctionSpec.subfactorial(), 0, 800):
+            pass
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert top == 800 * subfactorial(799) + 1
+    assert retained < 20_000
 
 
 def test_fibonacci():

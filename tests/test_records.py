@@ -11,7 +11,7 @@ import digitfix
 from digitfix._record import Record
 from digitfix.bounds import BoundReport, CutoffReport, PowerSumBound
 from digitfix.corpus import CorpusEntry, CorpusReport, EntryResult
-from digitfix.digitops import BlockVector, DigitVector
+from digitfix.digitops import BlockVector
 from digitfix.errors import ConfigurationError
 from digitfix.families import ConcatSquarePair, PiezasParams
 from digitfix.funcatalog import FunctionSpec
@@ -35,7 +35,6 @@ _ENTRY_DEFAULTS = {
 # (class, a value for every field in order, defaults of the trailing fields,
 #  one field changed to another valid value)
 RECORDS = [
-    (DigitVector, ((3, 5, 1), 10), {}, ("base", 11)),
     (BlockVector, ((56, 34, 12), 10, 2), {}, ("block_width", 3)),
     (
         FunctionSpec,
@@ -114,9 +113,9 @@ def test_record_value_semantics(cls, args, defaults, change):
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: DigitVector((), 10), ValueError, "at least one digit"),
-        (lambda: DigitVector((10,), 10), ValueError, "digit 10 out of range for base 10"),
-        (lambda: DigitVector((0,), 1), ConfigurationError, "base must be at least 2"),
+        (lambda: BlockVector((), 10, 1), ValueError, "at least one block"),
+        (lambda: BlockVector((10,), 10, 1), ValueError, "block 10 out of range for base 10"),
+        (lambda: BlockVector((0,), 1, 1), ConfigurationError, "base must be at least 2"),
         (lambda: BlockVector((1,), 10, 0), ConfigurationError, "block width must be at least 1"),
         (lambda: BlockVector((100,), 10, 2), ValueError, "block 100 out of range"),
         (lambda: BlockVector((1,), 1, 2), ConfigurationError, "base must be at least 2"),
@@ -128,6 +127,19 @@ def test_record_value_semantics(cls, args, defaults, change):
         (lambda: FunctionSpec("self_power", zero_self_power=2), ConfigurationError, "0 or 1"),
         (lambda: FunctionSpec.power(3).replace(exponent=-1), ConfigurationError, "exponent"),
         (lambda: FunctionSpec.power(3).replace(degree=3), TypeError, "degree"),
+        # a field another kind reads would print as the same spec text, yet
+        # compare and hash unequal to it
+        (lambda: FunctionSpec("power", 3, 5, None, 1), ConfigurationError,
+         "power spec takes no expbase"),
+        (lambda: FunctionSpec("exp_base", 2, 5, None, 1), ConfigurationError,
+         "exp_base spec takes no exponent"),
+        (lambda: FunctionSpec("factorial", coeffs=(1,)), ConfigurationError, "takes no coeffs"),
+        (lambda: FunctionSpec("polynomial", 2, None, (1,), 1), ConfigurationError,
+         "polynomial spec takes no exponent"),
+        (lambda: FunctionSpec.power(3).replace(zero_self_power=0), ConfigurationError,
+         "power spec takes no zero_self_power"),
+        (lambda: FunctionSpec("subfactorial", zero_self_power=0), ConfigurationError,
+         "takes no zero_self_power"),
         (lambda: PiezasParams.from_index(5, 0), ConfigurationError, "fermat index"),
         (lambda: PiezasParams.from_index(2, -1), ConfigurationError, "t must be"),
     ],

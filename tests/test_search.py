@@ -10,7 +10,7 @@ import digitfix.search
 from digitfix.bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
 from digitfix.corpus import CorpusEntry
 from digitfix.errors import ConfigurationError, UnsupportedFunctionError
-from digitfix.funcatalog import FunctionSpec, evaluate, parse_spec
+from digitfix.funcatalog import FunctionSpec, evaluate, images, parse_spec
 from digitfix.search import (
     _TABLE_SPAN,
     FAMILIES,
@@ -53,6 +53,7 @@ from conftest import (
     oracle_reversal,
     oracle_wells,
     oracle_wells_reverse,
+    with_zero_pow,
 )
 
 
@@ -65,7 +66,7 @@ def values(hits):
 
 
 def run_hardy(fn, engine="scan", width=1, cap=None, include_zero=False, zero_pow=1, base=10):
-    spec = parse_spec(fn).replace(zero_self_power=zero_pow)
+    spec = with_zero_pow(parse_spec(fn), zero_pow)
     cfg = SearchConfig(
         spec=spec, base=base, width=width, engine=engine, cap=cap, include_zero=include_zero
     )
@@ -234,7 +235,7 @@ class TestIndexedScan:
         expected = oracle_hardy(fn, base, width, cap, zero_pow)
         # the search sizes its own table; _scan_range is also run on the drawn depth
         assert run_hardy(fn, width=width, cap=cap, zero_pow=zero_pow, base=base) == expected
-        spec = parse_spec(fn).replace(zero_self_power=zero_pow)
+        spec = with_zero_pow(parse_spec(fn), zero_pow)
         assert _scan_range(1, cap + 1, spec, base, width, depth) == expected
 
     @pytest.mark.parametrize("fn, width", [("pow:7", 1), ("factorial", 1), ("pow:3", 2)])
@@ -353,7 +354,7 @@ def multiset_cases(draw):
     """A catalog F in base 2-16 and a length whose flat enumeration stays small."""
     base = draw(st.integers(2, 16))
     spec = parse_spec(draw(st.sampled_from(CATALOG_SPEC_TEXTS)))
-    spec = spec.replace(zero_self_power=draw(st.sampled_from((0, 1))))
+    spec = with_zero_pow(spec, draw(st.sampled_from((0, 1))))
     m, cap = _flat_length(draw, base)
     return [evaluate(spec, d) for d in range(base)], base, m, cap
 
@@ -428,7 +429,7 @@ def auto_cases(draw):
     cap, or none where the derived ceiling keeps the scan short."""
     base = draw(st.integers(2, 16))
     spec = parse_spec(draw(st.sampled_from(CATALOG_SPEC_TEXTS)))
-    spec = spec.replace(zero_self_power=draw(st.sampled_from((0, 1))))
+    spec = with_zero_pow(spec, draw(st.sampled_from((0, 1))))
     cap = draw(st.none() | st.integers(1, 10**6))
     assume(cap is not None or hardy_bound(spec, base, 1).n_max <= 10**7)
     return SearchConfig(spec=spec, base=base, cap=cap, include_zero=draw(st.booleans()))
@@ -548,11 +549,12 @@ class TestWalksMatchTheOracles:
         # the cutoffs are 28 and 55: caps far above them walk no further
         walked = []
 
-        def spy(spec, n):
-            walked.append(n)
-            return evaluate(spec, n)
+        def spy(spec, start, stop):
+            for n, value in zip(range(start, stop), images(spec, start, stop)):
+                walked.append(n)
+                yield value
 
-        monkeypatch.setattr(digitfix.search, "evaluate", spy)
+        monkeypatch.setattr(digitfix.search, "images", spy)
         factorial, cube = parse_spec("factorial"), parse_spec("pow:3")
         capped = search_wells(factorial, 10, 20000)
         assert values(capped) == [1, 22, 23, 24] and capped.ceiling == 20000
@@ -619,7 +621,7 @@ class TestSearchWellsReverse:
         include_zero=st.booleans(),
     )
     def test_matches_the_per_value_oracle(self, fn, base, cap, zero_pow_zero, include_zero):
-        spec = parse_spec(fn).replace(zero_self_power=zero_pow_zero)
+        spec = with_zero_pow(parse_spec(fn), zero_pow_zero)
         hits = search_wells_reverse(spec, base, cap, include_zero)
         assert values(hits) == oracle_wells_reverse(spec, base, cap, include_zero)
         assert hits.ceiling == cap
