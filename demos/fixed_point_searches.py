@@ -8,27 +8,31 @@ derived so that no solution can exist above it.  Run top to bottom:
     python demos/fixed_point_searches.py
 """
 
-from digitfix import SearchConfig, parse_spec, search_hardy
+from digitfix import SearchConfig, group_blocks, parse_spec, search_hardy
 
 # -- numbers equal to the sum of the factorials of their digits --------------
 
+# a hit holds its value and the images of its digits; group_blocks(n, 10, 1)
+# gives the digits themselves, least significant first
+
 cfg = SearchConfig(spec=parse_spec("factorial"))
 for hit in search_hardy(cfg):
-    terms = " + ".join(f"{d}!" for d in reversed(hit.blocks.blocks))
+    terms = " + ".join(f"{d}!" for d in reversed(group_blocks(hit.value, 10, 1)))
     print(f"{hit.value} = {terms}")
 
 # -- the same machinery with cubes, then with digit^digit --------------------
 
 print()
 for hit in search_hardy(SearchConfig(spec=parse_spec("pow:3"))):
-    terms = " + ".join(f"{d}^3" for d in reversed(hit.blocks.blocks))
+    terms = " + ".join(f"{d}^3" for d in reversed(group_blocks(hit.value, 10, 1)))
     print(f"{hit.value} = {terms}")
 
 # digit^digit needs a ceiling near 3.9e9; the multiset engine enumerates digit
 # multisets instead of values, which takes well under a second
 print()
 for hit in search_hardy(SearchConfig(spec=parse_spec("selfpow"), engine="multiset")):
-    print(f"{hit.value} = " + " + ".join(f"{d}^{d}" for d in reversed(hit.blocks.blocks)))
+    digits = group_blocks(hit.value, 10, 1)
+    print(f"{hit.value} = " + " + ".join(f"{d}^{d}" for d in reversed(digits)))
 
 # -- digits can be grouped into wider blocks ----------------------------------
 
@@ -39,7 +43,7 @@ print("two-digit cube blocks:", [h.value for h in hits])
 
 # three-digit blocks under squaring: the concatenated-squares shape
 for hit in search_hardy(SearchConfig(spec=parse_spec("pow:2"), width=3)):
-    terms = " + ".join(f"{b}^2" for b in reversed(hit.blocks.blocks))
+    terms = " + ".join(f"{b}^2" for b in reversed(group_blocks(hit.value, 10, 3)))
     print(f"{hit.value} = {terms}")
 
 # -- count-of-digits and sum-of-digits fixed points ---------------------------
@@ -60,5 +64,6 @@ from digitfix import search_reversal
 
 print()
 for m in (2, 3, 4, 5):
-    found = [(h.value, h.multiplier, h.reversal) for h in search_reversal(10, m)]
+    # a reversal hit's images are (multiplier, reversal)
+    found = [(h.value, *h.images) for h in search_reversal(10, m)]
     print(f"{m}-digit multiples of their reversals: {found}")

@@ -25,7 +25,6 @@ from .bounds import (
     wells_cutoff,
 )
 from .digitops import (
-    BlockVector,
     digit_count,
     digit_sum,
     from_blocks,
@@ -43,7 +42,6 @@ from .families import (
 )
 from .funcatalog import FunctionSpec, evaluate, factorial, fibonacci, parse_spec, subfactorial
 from .search import (
-    ReversalHit,
     SearchConfig,
     SearchHit,
     armstrong_order_ceiling,
@@ -59,7 +57,6 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockVector",
     "BoundReport",
     "ConcatSquarePair",
     "ConfigurationError",
@@ -67,7 +64,6 @@ __all__ = [
     "FunctionSpec",
     "PiezasParams",
     "PowerSumBound",
-    "ReversalHit",
     "SearchConfig",
     "SearchHit",
     "UnsupportedFunctionError",

@@ -19,7 +19,7 @@ Three shapes of result:
 from __future__ import annotations
 
 from ._record import Record
-from .digitops import digit_count
+from .digitops import _check_base, digit_count
 from .errors import ConfigurationError, UnsupportedFunctionError
 from .families import decimal_str
 from .funcatalog import FunctionSpec, evaluate, fibonacci, images
@@ -101,8 +101,7 @@ def hardy_bound(spec: FunctionSpec, base: int, width: int = 1) -> BoundReport:
     that many blocks exists.  The predicate persists: b**k >= 2 gives
     b**(km) >= 2*b**(k(m-1)) > 2m*s_k >= (m+1)*s_k for m >= 1.
     """
-    if base < 2:
-        raise ConfigurationError(f"numeral base must be at least 2, got {base}")
+    _check_base(base)
     if width < 1:
         raise ConfigurationError(f"block width must be at least 1, got {width}")
     radix = base**width
@@ -167,8 +166,7 @@ def wells_cutoff(spec: FunctionSpec, base: int) -> CutoffReport:
       coefficient values; once (n+1)**d <= b*n**d (a ratio that only shrinks)
       and C*N**d < b**(N-1), the condition persists by induction.
     """
-    if base < 2:
-        raise ConfigurationError(f"numeral base must be at least 2, got {base}")
+    _check_base(base)
     kind = spec.kind
 
     if kind == "self_power":
@@ -274,8 +272,7 @@ def dudeney_cutoff(spec: FunctionSpec, base: int) -> CutoffReport:
     returned is minimal and sound.  ``_AUDIT_WINDOW`` successes after N are
     replayed into the witness list as an audit trail.
     """
-    if base < 2:
-        raise ConfigurationError(f"numeral base must be at least 2, got {base}")
+    _check_base(base)
     cutoff = _last_digit_sum_fit(spec, base) + 1
     witnesses = []
     for n in range(max(1, cutoff - 1), cutoff + _AUDIT_WINDOW):
@@ -295,7 +292,6 @@ def powersum_bound(p: int, base: int) -> PowerSumBound:
     """
     if p < 2:
         raise ConfigurationError(f"power-sum exponent must be at least 2, got {p}")
-    if base < 2:
-        raise ConfigurationError(f"numeral base must be at least 2, got {base}")
+    _check_base(base)
     s_max = _last_digit_sum_fit(FunctionSpec.power(p), base)  # s = 1 always fits
     return PowerSumBound(coarse=base ** (p * p), s_max=s_max)

@@ -146,7 +146,7 @@ def _run_search(args) -> tuple:
     )
 
     def lines():
-        yield from map(family.line, hits)
+        yield from (family.line(h, args) for h in hits)
         yield family.summary.format(count=len(hits), ceiling=hits.ceiling, params=args)
 
     return _EXIT_OK, records, lines()

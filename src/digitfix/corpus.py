@@ -107,7 +107,7 @@ def _run_entry(entry: CorpusEntry) -> object:
     if entry.kind == "search":
         hits = run_search(entry.family, entry)
         if FAMILY_TABLE[entry.family].pairs:
-            return [[h.value, h.multiplier] for h in hits]
+            return [[h.value, h.images[0]] for h in hits]
         return [h.value for h in hits]
     if entry.kind == "pair":
         x, y, length = entry.expected["x"], entry.expected["y"], entry.expected["block_length"]

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record
 from .errors import ConfigurationError
 
 __all__ = [
-    "BlockVector",
     "digit_count",
     "digit_sum",
     "from_blocks",
@@ -35,34 +33,6 @@ def _check_base(base: int) -> None:
 def _check_natural(n: int) -> None:
     if n < 0:
         raise ValueError(f"expected a natural number, got {n}")
-
-
-class BlockVector(Record):
-    """Width-``k`` digit blocks of a number, least-significant first.
-
-    Each block is the value of ``k`` consecutive base-``base`` digits, so the
-    blocks are the digits of the number in radix ``base**block_width``; at
-    width 1 they are its base-``base`` digits.  A vector holds at least one
-    block: :func:`group_blocks` writes 0 as ``(0,)``.
-    """
-
-    __slots__ = ("blocks", "base", "block_width")
-
-    def _check(self) -> None:
-        base, block_width = self.base, self.block_width
-        _check_base(base)
-        if block_width < 1:
-            raise ConfigurationError(f"block width must be at least 1, got {block_width}")
-        if not self.blocks:
-            raise ValueError("block vector must hold at least one block")
-        radix = base**block_width
-        for v in self.blocks:
-            if not 0 <= v < radix:
-                raise ValueError(f"block {v} out of range for base {base} width {block_width}")
-
-    @property
-    def radix(self) -> int:
-        return self.base**self.block_width
 
 
 def digit_sum(n: int, base: int) -> int:
@@ -102,12 +72,14 @@ def digit_count(n: int, base: int) -> int:
     return e + 1
 
 
-def group_blocks(n: int, base: int, width: int) -> BlockVector:
-    """Chunk the digits of ``n`` into width-``width`` blocks, least-significant first.
+def group_blocks(n: int, base: int, width: int) -> tuple[int, ...]:
+    """The width-``width`` digit blocks of ``n``, least-significant first.
 
-    The digit string is implicitly padded with leading zeros up to a multiple
-    of ``width``; padding only extends the top block and never changes any
-    block value or the reassembled number.
+    Each block is the value of ``width`` consecutive base-``base`` digits, so
+    the blocks are the digits of ``n`` in radix ``base**width``; at width 1
+    they are its base-``base`` digits.  The digit string is implicitly padded
+    with leading zeros up to a multiple of ``width``; padding only extends the
+    top block.  There is always at least one block: 0 gives ``(0,)``.
     """
     _check_base(base)
     _check_natural(n)
@@ -115,19 +87,29 @@ def group_blocks(n: int, base: int, width: int) -> BlockVector:
         raise ConfigurationError(f"block width must be at least 1, got {width}")
     radix = base**width
     if n == 0:
-        return BlockVector((0,), base, width)
+        return (0,)
     blocks = []
     while n:
         n, r = divmod(n, radix)
         blocks.append(r)
-    return BlockVector(tuple(blocks), base, width)
+    return tuple(blocks)
 
 
-def from_blocks(bv: BlockVector) -> int:
-    """Reassemble blocks with radix ``base**block_width``."""
-    value = 0
-    radix = bv.radix
-    for block in reversed(bv.blocks):
+def from_blocks(blocks, base: int, width: int) -> int:
+    """Reassemble ``blocks``, least-significant first, in radix ``base**width``.
+
+    The inverse of :func:`group_blocks`; zero blocks at the top add nothing.
+    Needs at least one block, each in ``0 .. base**width - 1``.
+    """
+    _check_base(base)
+    if width < 1:
+        raise ConfigurationError(f"block width must be at least 1, got {width}")
+    if not blocks:
+        raise ValueError("block vector must hold at least one block")
+    radix, value = base**width, 0
+    for block in reversed(blocks):
+        if not 0 <= block < radix:
+            raise ValueError(f"block {block} out of range for base {base} width {width}")
         value = value * radix + block
     return value
 

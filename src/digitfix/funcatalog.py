@@ -183,18 +183,28 @@ def _next_subfactorial(x: int, previous: int) -> int:
     return x * previous - 1 if x & 1 else x * previous + 1
 
 
+def _subfactorial_steps(lo: int, hi: int) -> tuple[int, int]:
+    """(A, C) with v -> A*v + C the steps of :func:`_next_subfactorial` for
+    k = lo .. hi - 1 (hi > lo), composed pairwise: binary splitting, so the
+    big products meet numbers of equal size instead of one k at a time."""
+    if hi - lo == 1:
+        return lo, _next_subfactorial(lo, 0)
+    mid = (lo + hi) // 2
+    a1, c1 = _subfactorial_steps(lo, mid)
+    a2, c2 = _subfactorial_steps(mid, hi)
+    return a2 * a1, a2 * c1 + c2
+
+
 def subfactorial(x: int) -> int:
-    """Derangement count !x, by the recurrence of :func:`_next_subfactorial` from !0 = 1.
+    """Derangement count !x: the steps k = 1 .. x of :func:`_next_subfactorial`
+    applied to !0 = 1, that is A + C for their composition A*v + C.
 
     Stays in integer arithmetic throughout; equals the alternating-sum form
     x! * sum((-1)^i / i!) after clearing denominators.
     """
     if x < 0:
         raise ValueError(f"subfactorial is defined for x >= 0, got {x}")
-    value = 1
-    for k in range(1, x + 1):
-        value = _next_subfactorial(k, value)
-    return value
+    return sum(_subfactorial_steps(1, x + 1)) if x else 1
 
 
 def _fib_pair(k: int) -> tuple[int, int]:

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -91,7 +91,7 @@ from .bounds import (
     hardy_bound,
     wells_cutoff,
 )
-from .digitops import digit_count, digit_sum, group_blocks, reverse_digits
+from .digitops import _check_base, digit_count, digit_sum, group_blocks, reverse_digits
 from .errors import ConfigurationError, UnsupportedFunctionError
 from .families import elide_numeral
 from .funcatalog import FunctionSpec, evaluate, images, parse_spec
@@ -100,7 +100,6 @@ __all__ = [
     "FAMILIES",
     "FAMILY_TABLE",
     "Hits",
-    "ReversalHit",
     "SearchConfig",
     "SearchHit",
     "armstrong_hit",
@@ -142,8 +141,7 @@ class SearchConfig(Record):
 
     def _check(self) -> None:
         base, width, engine, cap = self.base, self.width, self.engine, self.cap
-        if base < 2:
-            raise ConfigurationError(f"numeral base must be at least 2, got {base}")
+        _check_base(base)
         if width < 1:
             raise ConfigurationError(f"block width must be at least 1, got {width}")
         if engine not in ("auto", "scan", "multiset"):
@@ -159,27 +157,12 @@ class SearchHit(Record):
 
     ``images`` holds the intermediate quantities of the family's equation:
     per-block F-values for the summation families, (F(n),) for count- and
-    sum-of-digits fixed points, (digitsum(n),) for power-sum fixed points and
-    (digit_count(n),) for the reversed count family.
+    sum-of-digits fixed points, (digitsum(n),) for power-sum fixed points,
+    (digit_count(n),) for the reversed count family and (multiplier,
+    reversal) for reversal multiples, whose ``fn`` is None.
     """
 
-    __slots__ = ("value", "blocks", "images", "family", "fn")
-
-
-class ReversalHit(Record):
-    """An n that is an integral multiple of its own digit reversal.
-
-    Like a :class:`SearchHit` it names its family and function and lists the
-    quantities that re-prove it: ``images`` is (multiplier, reversal).
-    """
-
-    __slots__ = ("value", "multiplier", "reversal")
-    family = "reversal"
-    fn = None
-
-    @property
-    def images(self) -> tuple[int, int]:
-        return (self.multiplier, self.reversal)
+    __slots__ = ("value", "images", "family", "fn")
 
 
 class Hits(list):
@@ -202,21 +185,19 @@ class Hits(list):
 
 
 def hardy_hit(value: int, base: int, width: int, spec: FunctionSpec) -> SearchHit:
-    blocks = group_blocks(value, base, width)
-    images = tuple(evaluate(spec, v) for v in blocks.blocks)
+    images = tuple(evaluate(spec, v) for v in group_blocks(value, base, width))
     if sum(images) != value:
         raise ValueError(f"{value} does not equal its block image sum {sum(images)}")
-    return SearchHit(value, blocks, images, "hardy", spec.text)
+    return SearchHit(value, images, "hardy", spec.text)
 
 
 def armstrong_hit(value: int, base: int, order: int) -> SearchHit:
     if digit_count(value, base) != order:
         raise ValueError(f"{value} does not have {order} digits in base {base}")
-    blocks = group_blocks(value, base, 1)
-    images = tuple(d**order for d in blocks.blocks)
+    images = tuple(d**order for d in group_blocks(value, base, 1))
     if sum(images) != value:
         raise ValueError(f"{value} is not an order-{order} digit-power sum")
-    return SearchHit(value, blocks, images, "armstrong", f"pow:{order}")
+    return SearchHit(value, images, "armstrong", f"pow:{order}")
 
 
 def wells_hit(value: int, base: int, spec: FunctionSpec) -> SearchHit:
@@ -226,31 +207,31 @@ def wells_hit(value: int, base: int, spec: FunctionSpec) -> SearchHit:
     count = digit_count(image, base) if image else 0
     if count != value:
         raise ValueError(f"digit_count(F({value})) = {count} != {value}")
-    return SearchHit(value, group_blocks(value, base, 1), (image,), "wells", spec.text)
+    return SearchHit(value, (image,), "wells", spec.text)
 
 
 def wells_reverse_hit(value: int, base: int, spec: FunctionSpec) -> SearchHit:
     length = 0 if value == 0 else digit_count(value, base)
     if evaluate(spec, length) != value:
         raise ValueError(f"F({length}) does not reproduce {value}")
-    return SearchHit(value, group_blocks(value, base, 1), (length,), "wells-reverse", spec.text)
+    return SearchHit(value, (length,), "wells-reverse", spec.text)
 
 
 def dudeney_hit(value: int, base: int, spec: FunctionSpec) -> SearchHit:
     image = evaluate(spec, value)
     if digit_sum(image, base) != value:
         raise ValueError(f"digit_sum(F({value})) = {digit_sum(image, base)} != {value}")
-    return SearchHit(value, group_blocks(value, base, 1), (image,), "dudeney", spec.text)
+    return SearchHit(value, (image,), "dudeney", spec.text)
 
 
 def powersum_hit(value: int, base: int, p: int) -> SearchHit:
     s = digit_sum(value, base)
     if s**p != value:
         raise ValueError(f"digit_sum({value})**{p} = {s**p} != {value}")
-    return SearchHit(value, group_blocks(value, base, 1), (s,), "powersum", f"pow:{p}")
+    return SearchHit(value, (s,), "powersum", f"pow:{p}")
 
 
-def reversal_hit(value: int, base: int) -> ReversalHit:
+def reversal_hit(value: int, base: int) -> SearchHit:
     rev = reverse_digits(value, base)
     if rev == 0 or value % rev != 0:
         raise ValueError(f"{value} is not a multiple of its reversal {rev}")
@@ -259,7 +240,7 @@ def reversal_hit(value: int, base: int) -> ReversalHit:
         raise ValueError(f"{value} needs multiplier >= 2, got {lam}")
     if digit_count(value, base) != digit_count(rev, base):
         raise ValueError(f"{value} and its reversal differ in digit count")
-    return ReversalHit(value, lam, rev)
+    return SearchHit(value, (lam, rev), "reversal", None)
 
 
 # -- scan engine ---------------------------------------------------------------
@@ -299,7 +280,6 @@ def _table_depth(radix: int, hi: int) -> int:
     return depth
 
 
-@lru_cache(maxsize=3)
 def _tables(spec: FunctionSpec, base: int, width: int, depth: int):
     radix = base**width
     f_vals = list(images(spec, 0, radix))
@@ -350,7 +330,7 @@ def _scan_range(
     """
     radix = base**width
     if radix > _TABLE_SPAN:
-        # no table: sum F over each value's blocks, without building a BlockVector
+        # no table: sum F over each value's blocks, without building their tuple
         hits = []
         for n in range(lo, hi):
             total, v = 0, n
@@ -516,8 +496,7 @@ def search_hardy(cfg: SearchConfig) -> Hits:
 
 def armstrong_order_ceiling(base: int) -> int:
     """Least order m with base**(m-1) > m*(base-1)**m; no solutions at or above it."""
-    if base < 2:
-        raise ConfigurationError(f"numeral base must be at least 2, got {base}")
+    _check_base(base)
     m, power, digit_power = 1, 1, base - 1  # base**(m-1) and (base-1)**m, carried
     while power <= m * digit_power:
         m += 1
@@ -751,8 +730,7 @@ def search_reversal(base: int, num_digits: int) -> Hits:
     number grows exponentially with the length (2 * F(k // 2 - 1) in base
     10, F the Fibonacci numbers), so listing them would not end.
     """
-    if base < 2:
-        raise ConfigurationError(f"numeral base must be at least 2, got {base}")
+    _check_base(base)
     if num_digits < 2:
         raise ConfigurationError(f"reversal search needs at least 2 digits, got {num_digits}")
     automata = [_reversal_automaton(lam, base, num_digits) for lam in range(2, base)]
@@ -789,8 +767,9 @@ def _family(
     pure-power ``fn``), made into a :class:`SearchConfig` with ``config``.
     ``fields`` are the fields they read, in option order, and ``required``
     those the family cannot run without.  ``engines`` are listed
-    default first.  ``line`` prints one hit as text and ``summary`` the last
-    text line; with ``pairs``, a corpus entry lists hits as [value, multiplier].
+    default first.  ``line(hit, params)`` prints one hit as text and
+    ``summary`` the last text line; with ``pairs``, a corpus entry lists hits
+    as [value, multiplier].
     """
     reads = {"fn"} if "spec" in arguments or "p" in arguments else set()
     fields = tuple(field for field in _FIELDS if field in arguments or field in reads)
@@ -800,9 +779,10 @@ def _family(
     )
 
 
-def _sum_line(h: SearchHit) -> str:
+def _sum_line(h: SearchHit, params) -> str:
     spec = parse_spec(h.fn)
-    terms = " + ".join(spec.term(v) for v in reversed(h.blocks.blocks))
+    blocks = group_blocks(h.value, params.base, params.k)
+    terms = " + ".join(spec.term(v) for v in reversed(blocks))
     return f"{h.value} = {terms}"
 
 
@@ -819,28 +799,28 @@ FAMILY_TABLE = {
     "wells": _family(
         "n equal to the digit count of F(n)", "search_wells",
         ("spec", "base", "cap", "include_zero"),
-        lambda h: f"{h.value}: F({h.value}) has {h.value} digit(s)",
+        lambda h, _: f"{h.value}: F({h.value}) has {h.value} digit(s)",
     ),
     "wells-reverse": _family(
         "n equal to F(digit count of n)", "search_wells_reverse",
         ("spec", "base", "cap", "include_zero"),
-        lambda h: f"{h.value} = F({h.images[0]})", required=("fn", "cap"),
+        lambda h, _: f"{h.value} = F({h.images[0]})", required=("fn", "cap"),
     ),
     "dudeney": _family(
         "n equal to the digit sum of F(n)", "search_dudeney",
         ("spec", "base", "cap", "engine", "include_zero"),
-        lambda h: f"{h.value}: digit sum of F({h.value}) = {elide_numeral(h.images[0], 40)} "
+        lambda h, _: f"{h.value}: digit sum of F({h.value}) = {elide_numeral(h.images[0], 40)} "
         f"is {h.value}", engines=("scan", "preimage"),
     ),
     "powersum": _family(
         "n equal to its digit sum raised to a power", "search_powersum",
         ("p", "base", "engine", "cap", "include_zero"),
-        lambda h: f"{h.value} = {h.images[0]}^{parse_spec(h.fn).exponent}, "
+        lambda h, _: f"{h.value} = {h.images[0]}^{parse_spec(h.fn).exponent}, "
         "its own digit sum raised", engines=("preimage", "scan"),
     ),
     "reversal": _family(
         "n an integral multiple of its digit reversal", "search_reversal",
-        ("base", "digits"), lambda h: f"{h.value} = {h.multiplier} x {h.reversal}",
+        ("base", "digits"), lambda h, _: f"{h.value} = {h.images[0]} x {h.images[1]}",
         required=("digits",), summary="{count} hit(s) among {params.digits}-digit numbers",
         pairs=True,
     ),

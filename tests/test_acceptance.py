@@ -134,7 +134,7 @@ def test_criterion_07_dudeney_powersum_duality():
 
 def test_criterion_08_reversal_multiples():
     with budget("criterion 8 (reversal multiples)", 1.0):
-        four = [(h.value, h.multiplier) for h in search_reversal(10, 4)]
+        four = [(h.value, h.images[0]) for h in search_reversal(10, 4)]
         two = search_reversal(10, 2)
         three = search_reversal(10, 3)
     assert four == [(8712, 4), (9801, 9)]

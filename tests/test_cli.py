@@ -602,7 +602,7 @@ def test_records_re_prove_themselves(capsys, argv):
     assert code == 0 and out
     for record in records(out):
         spec = parse_spec(record["fn"])
-        blocks = group_blocks(record["value"], record["base"], record["k"]).blocks
+        blocks = group_blocks(record["value"], record["base"], record["k"])
         images = [evaluate(spec, block) for block in blocks]
         assert images == record["decomposition"], record
         assert sum(images) == record["value"]

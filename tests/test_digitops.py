@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from digitfix.digitops import (
-    BlockVector,
     digit_count,
     digit_sum,
     from_blocks,
@@ -23,9 +22,9 @@ class TestDigits:
     """A number's digits are its blocks of width 1."""
 
     def test_examples(self):
-        assert group_blocks(3435, 10, 1).blocks == (5, 3, 4, 3)
-        assert group_blocks(0, 10, 1).blocks == (0,)
-        assert group_blocks(17, 3, 1).blocks == (2, 2, 1)
+        assert group_blocks(3435, 10, 1) == (5, 3, 4, 3)
+        assert group_blocks(0, 10, 1) == (0,)
+        assert group_blocks(17, 3, 1) == (2, 2, 1)
 
     def test_bad_base(self):
         with pytest.raises(ConfigurationError):
@@ -33,23 +32,36 @@ class TestDigits:
 
     @given(naturals, bases)
     def test_round_trip(self, n, b):
-        assert from_blocks(group_blocks(n, b, 1)) == n
+        assert from_blocks(group_blocks(n, b, 1), b, 1) == n
 
 
 class TestFromBlocks:
     def test_examples(self):
-        assert from_blocks(BlockVector((5, 3, 4, 3), 10, 1)) == 3435
-        assert from_blocks(BlockVector((0,), 2, 1)) == 0
-        assert from_blocks(BlockVector((2, 2, 1), 3, 1)) == 17
+        assert from_blocks((5, 3, 4, 3), 10, 1) == 3435
+        assert from_blocks((0,), 2, 1) == 0
+        assert from_blocks((2, 2, 1), 3, 1) == 17
+        assert from_blocks((56, 34, 12), 10, 2) == 123456
 
     def test_leading_zeros_reassemble(self):
-        assert from_blocks(BlockVector((5, 3, 0, 0), 10, 1)) == 35
+        assert from_blocks((5, 3, 0, 0), 10, 1) == 35
 
-    def test_malformed_digit_rejected(self):
-        with pytest.raises(ValueError):
-            BlockVector((5, 11), 10, 1)
-        with pytest.raises(ValueError):
-            BlockVector((), 10, 1)
+    @pytest.mark.parametrize(
+        "blocks, base, width, error, message",
+        [
+            ((5, 11), 10, 1, ValueError, "block 11 out of range for base 10 width 1"),
+            ((), 10, 1, ValueError, "at least one block"),
+            ((10,), 10, 1, ValueError, "block 10 out of range for base 10"),
+            ((100,), 10, 1, ValueError, "block 100 out of range for base 10 width 1"),
+            ((0,), 1, 1, ConfigurationError, "base must be at least 2"),
+            ((1,), 10, 0, ConfigurationError, "block width must be at least 1"),
+            ((100,), 10, 2, ValueError, "block 100 out of range"),
+            ((1,), 1, 2, ConfigurationError, "base must be at least 2"),
+            ((-1, 3), 10, 1, ValueError, "block -1 out of range"),
+        ],
+    )
+    def test_refuses_bad_arguments(self, blocks, base, width, error, message):
+        with pytest.raises(error, match=message):
+            from_blocks(blocks, base, width)
 
 
 class TestDigitSum:
@@ -119,21 +131,18 @@ class TestDigitCount:
 
 class TestGroupBlocks:
     def test_examples(self):
-        assert group_blocks(165033, 10, 2).blocks == (33, 50, 16)
-        assert group_blocks(4624, 10, 1).blocks == (4, 2, 6, 4)
-        assert group_blocks(12345, 10, 2).blocks == (45, 23, 1)
-
-    def test_block_range_enforced(self):
-        with pytest.raises(ValueError):
-            BlockVector((100,), 10, 1)
+        assert group_blocks(165033, 10, 2) == (33, 50, 16)
+        assert group_blocks(4624, 10, 1) == (4, 2, 6, 4)
+        assert group_blocks(12345, 10, 2) == (45, 23, 1)
 
     @given(naturals, bases, st.integers(min_value=1, max_value=6))
     def test_reassembly(self, n, b, k):
-        bv = group_blocks(n, b, k)
-        # canonical: no leading zero block except in 0 itself
-        assert bv.blocks == (0,) or bv.blocks[-1] != 0
-        assert from_blocks(bv) == n
-        assert sum(v * bv.radix**i for i, v in enumerate(bv.blocks)) == n
+        blocks = group_blocks(n, b, k)
+        # canonical: no leading zero block except in 0 itself, every block in range
+        assert blocks == (0,) or blocks[-1] != 0
+        assert all(0 <= v < b**k for v in blocks)
+        assert from_blocks(blocks, b, k) == n
+        assert sum(v * (b**k) ** i for i, v in enumerate(blocks)) == n
 
 
 class TestReverseDigits:

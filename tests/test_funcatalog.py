@@ -64,6 +64,16 @@ def test_subfactorial_matches_alternating_sum():
         assert subfactorial(x) == alt
 
 
+def test_subfactorial_binary_splitting_equals_the_recurrence():
+    # !x composes the steps v -> k*v + (-1)**k in halves, down to single
+    # steps; stepping them one k at a time from !0 = 1 gives the same values
+    value = 1
+    for x in range(2001):
+        if x:
+            value = x * value + (-1) ** x
+        assert subfactorial(x) == value, x
+
+
 def _outcome(values):
     try:
         return list(values)

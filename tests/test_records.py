@@ -11,11 +11,10 @@ import digitfix
 from digitfix._record import Record
 from digitfix.bounds import BoundReport, CutoffReport, PowerSumBound
 from digitfix.corpus import CorpusEntry, CorpusReport, EntryResult
-from digitfix.digitops import BlockVector
 from digitfix.errors import ConfigurationError
 from digitfix.families import ConcatSquarePair, PiezasParams
 from digitfix.funcatalog import FunctionSpec
-from digitfix.search import ReversalHit, SearchConfig, SearchHit
+from digitfix.search import SearchConfig, SearchHit
 
 _ENTRY = CorpusEntry("cubes", "search", (1, 153), family="hardy", fn="pow:3")
 _ENTRY_DEFAULTS = {
@@ -35,7 +34,6 @@ _ENTRY_DEFAULTS = {
 # (class, a value for every field in order, defaults of the trailing fields,
 #  one field changed to another valid value)
 RECORDS = [
-    (BlockVector, ((56, 34, 12), 10, 2), {}, ("block_width", 3)),
     (
         FunctionSpec,
         ("self_power", None, None, None, 0),
@@ -56,11 +54,10 @@ RECORDS = [
     ),
     (
         SearchHit,
-        (153, BlockVector((3, 5, 1), 10, 1), (27, 125, 1), "hardy", "pow:3"),
+        (153, (27, 125, 1), "hardy", "pow:3"),
         {},
         ("fn", "pow:4"),
     ),
-    (ReversalHit, (8712, 4, 2178), {}, ("multiplier", 5)),
     (
         CorpusEntry,
         ("e", "search", (1,), "hardy", 9, 2, "pow:3", "multiset", 50, 4, 3, True, True, "n"),
@@ -84,7 +81,7 @@ def test_record_value_semantics(cls, args, defaults, change):
     bare = cls(*args[: len(args) - len(defaults)])
     assert {name: getattr(bare, name) for name in defaults} == defaults
 
-    # equal by value, hashable as the tuple of fields (FunctionSpec keys an lru_cache)
+    # equal by value, hashable as the tuple of fields
     twin = cls(*args)
     assert twin == rec and twin is not rec and hash(twin) == hash(rec)
     name, value = change
@@ -113,12 +110,6 @@ def test_record_value_semantics(cls, args, defaults, change):
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: BlockVector((), 10, 1), ValueError, "at least one block"),
-        (lambda: BlockVector((10,), 10, 1), ValueError, "block 10 out of range for base 10"),
-        (lambda: BlockVector((0,), 1, 1), ConfigurationError, "base must be at least 2"),
-        (lambda: BlockVector((1,), 10, 0), ConfigurationError, "block width must be at least 1"),
-        (lambda: BlockVector((100,), 10, 2), ValueError, "block 100 out of range"),
-        (lambda: BlockVector((1,), 1, 2), ConfigurationError, "base must be at least 2"),
         (lambda: FunctionSpec("nope"), ConfigurationError, "unknown function kind"),
         (lambda: FunctionSpec("power"), ConfigurationError, "power exponent"),
         (lambda: FunctionSpec("power", exponent=0), ConfigurationError, "power exponent"),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import digitfix.search
 from digitfix.bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
 from digitfix.corpus import CorpusEntry
+from digitfix.digitops import group_blocks
 from digitfix.errors import ConfigurationError, UnsupportedFunctionError
 from digitfix.funcatalog import FunctionSpec, evaluate, images, parse_spec
 from digitfix.search import (
@@ -16,6 +17,7 @@ from digitfix.search import (
     FAMILIES,
     FAMILY_TABLE,
     SearchConfig,
+    SearchHit,
     _matches,
     _multiset_length,
     _multiset_search,
@@ -166,7 +168,7 @@ class TestSearchHardy:
         hits = search_hardy(SearchConfig(spec=parse_spec("factorial")))
         top = hits[-1]
         assert top.value == 40585
-        assert top.blocks.blocks == (5, 8, 5, 0, 4)
+        assert group_blocks(top.value, 10, 1) == (5, 8, 5, 0, 4)
         assert top.images == (120, 40320, 120, 1, 24)
         assert sum(top.images) == top.value
 
@@ -758,7 +760,7 @@ class TestSearchPowersum:
 class TestSearchReversal:
     def test_four_digit(self):
         hits = search_reversal(10, 4)
-        assert [(h.value, h.multiplier, h.reversal) for h in hits] == [
+        assert [(h.value, *h.images) for h in hits] == [
             (8712, 4, 2178),
             (9801, 9, 1089),
         ]
@@ -776,7 +778,7 @@ class TestSearchReversal:
         for base in range(2, 13):
             k = 2
             while base**k <= 200_000:
-                got = [(h.value, h.multiplier) for h in search_reversal(base, k)]
+                got = [(h.value, h.images[0]) for h in search_reversal(base, k)]
                 assert got == oracle_reversal(base, k), (base, k)
                 k += 1
 
@@ -787,7 +789,7 @@ class TestSearchReversal:
         while len(fib) < 15:
             fib.append(fib[-1] + fib[-2])
         for k in range(2, 31):
-            multipliers = [h.multiplier for h in search_reversal(10, k)]
+            multipliers = [h.images[0] for h in search_reversal(10, k)]
             assert len(multipliers) == 2 * fib[k // 2 - 1], k
             assert multipliers.count(4) == multipliers.count(9) == len(multipliers) // 2, k
 
@@ -833,7 +835,7 @@ class TestSearchReversal:
         )
 
     def test_base8_seven_digits(self):
-        got = [(h.value, h.multiplier) for h in search_reversal(8, 7)]
+        got = [(h.value, h.images[0]) for h in search_reversal(8, 7)]
         assert got == [
             (1346625, 5), (1376298, 2), (1400490, 2), (1535625, 5),
             (1548666, 2), (1572858, 2), (1769418, 3), (2064321, 7),
@@ -1011,6 +1013,20 @@ class TestRunSearch:
         entry = CorpusEntry(id="e", kind="search", expected=[], fn="pow:3", cap=10, digits=2, k=3)
         with pytest.raises(ConfigurationError, match="reads no block width, got k = 3"):
             run_search(family, entry)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_returns_the_one_hit_record(self, family):
+        entry = CorpusEntry(
+            id="e", kind="search", expected=[], fn="pow:3", cap=10**4, max_order=4, digits=4
+        )
+        hits = run_search(family, entry)
+        assert hits and all(type(h) is SearchHit for h in hits)
+        assert SearchHit.__slots__ == ("value", "images", "family", "fn")
+        assert {h.family for h in hits} == {family}
+        # a hit's text line reads only the hit and the search parameters
+        assert all(isinstance(FAMILY_TABLE[family].line(h, entry), str) for h in hits)
+        if family == "reversal":
+            assert all(h.value == h.images[0] * h.images[1] and h.fn is None for h in hits)
 
     def test_first_engine_is_the_searchs_own_default(self):
         # run_search passes the first engine where the command line gives none
