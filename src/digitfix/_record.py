@@ -9,8 +9,6 @@ fields in ``__slots__``, the defaults of its trailing fields in ``_defaults``
 ``_check``; :class:`Record` holds the one constructor.
 """
 
-from __future__ import annotations
-
 setfield = object.__setattr__  # stores a field past Record.__setattr__
 
 

@@ -16,8 +16,6 @@ Three shapes of result:
   sum ``s_max`` any fixed point of n = digitsum(n)**p can have.
 """
 
-from __future__ import annotations
-
 from ._record import Record
 from .digitops import _check_base, digit_count
 from .errors import ConfigurationError, UnsupportedFunctionError
@@ -133,15 +131,6 @@ def hardy_bound(spec: FunctionSpec, base: int, width: int = 1) -> BoundReport:
 # -- count-of-digits fixed points -------------------------------------------
 
 
-def _wells_witnesses(spec: FunctionSpec, base: int, n: int, side: str):
-    # side "ge": F(n) >= b**n holds at n, n+1; side "lt": F(n) < b**(n-1).
-    out = []
-    for v in (n, n + 1):
-        rhs = base**v if side == "ge" else base ** (v - 1)
-        out.append((v, evaluate(spec, v), rhs))
-    return tuple(out)
-
-
 def _factorial_cutoff(base: int) -> int:
     """The least integer above b*e, against a rational upper bound on e."""
     return (base * _E_HI[0]) // _E_HI[1] + 1
@@ -152,6 +141,8 @@ def wells_cutoff(spec: FunctionSpec, base: int) -> CutoffReport:
 
     Per kind, one of the two sufficient conditions is certified in integer
     arithmetic: either F(n) >= b**n from N on, or F(n) < b**(n-1) from N on.
+    The witnesses are (v, F(v), b**v) on the first side and (v, F(v),
+    b**(v-1)) on the second, for v = N and N + 1.
 
     * self_power: n >= b implies n**n >= b**n, so N = b.
     * factorial: n! >= e*(n/e)**n, so n >= e*b implies n! >= b**n; N is the
@@ -168,58 +159,45 @@ def wells_cutoff(spec: FunctionSpec, base: int) -> CutoffReport:
     """
     _check_base(base)
     kind = spec.kind
-
+    # lag 0: F(n) >= b**n from N on; lag 1: F(n) < b**(n-1) from N on
     if kind == "self_power":
-        n = base
-        return CutoffReport(n, "analytic", _wells_witnesses(spec, base, n, "ge"))
-
-    if kind == "factorial":
-        n = _factorial_cutoff(base)
-        return CutoffReport(n, "analytic", _wells_witnesses(spec, base, n, "ge"))
-
-    if kind == "subfactorial":
-        n = max(base, 2)
+        n, lag = base, 0
+    elif kind == "factorial":
+        n, lag = _factorial_cutoff(base), 0
+    elif kind == "subfactorial":
+        n, lag = max(base, 2), 0
         power = base**n
         for value in images(spec, n):
             if value >= power:
                 break
             n += 1
             power *= base
-        return CutoffReport(n, "analytic", _wells_witnesses(spec, base, n, "ge"))
-
-    if kind == "exp_base":
-        c = spec.expbase
-        if c >= base:
-            return CutoffReport(1, "analytic", _wells_witnesses(spec, base, 1, "ge"))
-        n = 1
-        cn = c
-        bn = base
+    elif kind == "exp_base" and spec.expbase >= base:
+        n, lag = 1, 0
+    elif kind == "exp_base":
+        n, lag = 1, 1
+        cn, bn = spec.expbase, base
         while base * cn >= bn:  # i.e. c**n >= b**(n-1)
             n += 1
-            cn *= c
+            cn *= spec.expbase
             bn *= base
-        return CutoffReport(n, "analytic", _wells_witnesses(spec, base, n, "lt"))
-
-    if kind == "fibonacci":
-        n = 2
-        while not (
-            fibonacci(n) < base ** (n - 1) and fibonacci(n + 1) < base**n
-        ):
+    elif kind == "fibonacci":
+        n, lag = 2, 1
+        while not (fibonacci(n) < base ** (n - 1) and fibonacci(n + 1) < base**n):
             n += 1
-        return CutoffReport(n, "analytic", _wells_witnesses(spec, base, n, "lt"))
-
-    if kind in ("power", "polynomial"):
+    elif kind in ("power", "polynomial"):
         cmaj, degree = _poly_majorant(spec)
-        n = 1
+        n, lag = 1, 1
         while (n + 1) ** degree > base * n**degree:
             n += 1
         while cmaj * n**degree >= base ** (n - 1):
             n += 1
-        return CutoffReport(n, "analytic", _wells_witnesses(spec, base, n, "lt"))
-
-    raise UnsupportedFunctionError(
-        f"no count-of-digits cutoff certificate for kind {kind!r}"
-    )
+    else:
+        raise UnsupportedFunctionError(
+            f"no count-of-digits cutoff certificate for kind {kind!r}"
+        )
+    witnesses = tuple((v, evaluate(spec, v), base ** (v - lag)) for v in (n, n + 1))
+    return CutoffReport(n, "analytic", witnesses)
 
 
 # -- sum-of-digits fixed points ----------------------------------------------

@@ -58,8 +58,6 @@ positive integer (exit 2 otherwise).  Results never depend on it, and no
 command reads an environment variable.
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys

@@ -20,8 +20,6 @@ Entry schema (one JSON object per entry):
 ``note``        provenance: literature reference or the oracle that froze it
 """
 
-from __future__ import annotations
-
 from ._record import Record
 from .errors import ConfigurationError
 from .families import piezas_numerals, verify_concat_square, vitalis_generate

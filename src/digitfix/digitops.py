@@ -10,8 +10,6 @@ of multiplying numbers of n's size, not the O(n**2) of repeated division.
 Digit and block sequences are stored least-significant first throughout.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import ConfigurationError

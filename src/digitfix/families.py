@@ -31,8 +31,6 @@ where M(n) is the cost of multiplying n-digit numbers; the interpreter's own
 str(int) and a count by long division are O(n**2).
 """
 
-from __future__ import annotations
-
 from ._record import Record
 from .digitops import digit_count
 from .errors import ConfigurationError

@@ -17,8 +17,6 @@ Nothing is cached: :func:`evaluate` computes each value afresh, and a walk
 over consecutive arguments steps along :func:`images` instead.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import count
 

@@ -75,8 +75,6 @@ subcommands and text lines from the same entries, and the corpus its
 checks, so neither derives a ceiling or picks an engine of its own.
 """
 
-from __future__ import annotations
-
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache
@@ -474,9 +472,10 @@ def search_hardy(cfg: SearchConfig) -> Hits:
     engine, budget = cfg.engine, -1
     if engine == "auto":
         # a multiset node costs about six table entries, so a budget of a
-        # sixth of the scan's work has cost about one scan once it is spent
-        engine = "multiset" if cfg.width == 1 else "scan"
+        # sixth of the scan's work has cost about one scan once it is spent;
+        # its per-digit tables cost one entry per digit before any node does
         budget = _scan_work(cfg.base**cfg.width, ceiling + 1) // 6
+        engine = "multiset" if cfg.width == 1 and cfg.base <= budget else "scan"
     if engine == "multiset":
         # a derived ceiling (M-1)*s has exactly M-1 digits, so its lengths are
         # the ones the bound leaves; a ceiling of 0 leaves none

@@ -258,6 +258,64 @@ def test_output_is_frozen(capsys, argv, fmt, exit_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# `bound wells` for every catalog spec, selfpow:0, fib and one polynomial at
+# bases 2, 10 and 16, frozen before the seven branches of wells_cutoff shared
+# one exit: both certificate sides, and expbase on each (c >= b and c < b):
+# (fn, base, sha256 of text stdout, sha256 of records stdout).
+GOLDEN_WELLS = [
+    ("factorial", 2, "50c15c3d789fa7c1cd959c007c2d5fabed7e179eb043bb36c0a00e15061c452d", "cf9aa3a92b0d37cfd3d033fef2fe53bdc217731db6ed5010b58a7ec2ee3a8182"),
+    ("factorial", 10, "1e30b9ea541ced56b98bff6f4f74910e72086bacd70b6c9bdacb2460f4ee59e7", "ba068410cdf4174c68e9a4dbae9e6067216bb3d71c2323ae491d15f2dd80c418"),
+    ("factorial", 16, "b84cb6a0935e2fc04843d568ab0390167bbbceefca6ba59bfd11de3b7be4d21d", "e82dbe327f68b876a8f2bc3d5690055b6a6d85c4d493a4b687bd439cf520bf53"),
+    ("subfactorial", 2, "6e989cfdd03b4db33c1b1e5e3efe69f1c21d74a5c3b38b4abd122653151d2711", "3f628b00ee93199fa7ba417cac135e6b3669daae530f72b64250a72c1870417e"),
+    ("subfactorial", 10, "ba2131cc9c0a8b8b0ace71def6e523efe636a6b07a75467b32d7a0719ac802bd", "7790171bc83125293606e261e1d89397660e7e830c744b7d38104d9c07a8d93f"),
+    ("subfactorial", 16, "915c4a8aa5908e66a9575edfe464ccb6291337470500a7a33070e9eff7d9f2f0", "5a55ae88586efd02bdcd7b771e9fe70190a16f9a7d44124c624d7bb88064954c"),
+    ("pow:2", 2, "e3788d464eb390d46eee205fab946fcfa871f15cc9f715fa89b581fd951437e0", "07bba578145fe1d9fbad560b012b079dc384e829646f98433a7e21b2128e8577"),
+    ("pow:2", 10, "39d963dd324e5fc55739d799d4b40d293b94782ff245a582269c0f4c2c9f70bf", "82304a0d5183b15f1c7ed706f263ac43774e16a98faafaba89c8a05a3ded41eb"),
+    ("pow:2", 16, "22ff6cbc6baae1e4c2364059e1ba4e372afed7ad33a5655c17cd35134c53e7f7", "dc617e66d9080e7a97ff8a3f6865c442500c1e8f216ea013b6ef2a9df9c5399c"),
+    ("pow:3", 2, "f293d5ae5db16ae238a5d456c24463cdc9dc2e472d57af625fd8471078fd39cc", "7704eabf19595e9c05a7d1b316b7793a5c5bc7bdbff90ec1d2cbd473c375ef6a"),
+    ("pow:3", 10, "a9c5dcc3a8b189a90ab5bf023b114e741b23c1f5d8f251bd710a7985f8a65fc5", "3abdaf986285691b1cb7c9b59727e50c915c157eefe54ff0b86e58ba69d433fe"),
+    ("pow:3", 16, "8be2991ea16d2f569128021a40295d600c2d4b16fa144ea6499d0e012197e140", "dd3d910805d013e8ad35ad237a49b42a4881e291a6b84d4a02cf0a1b6d4ce627"),
+    ("pow:4", 2, "f261af4c5280cba530fc0b995dfcb437b7517755aa1f9b4670c83d1086ec1df3", "685b5c984785e4b4bbc044e1aec867d406e27fbf791467e37f8d16a59ceb3a96"),
+    ("pow:4", 10, "c88fc6e69a026b33392a6bc02cf45c8f51d41ca48402e73930007b9e740d69ae", "8f2cee39157aed5fa7eb9c489a67a00efb5c069b0f530c49ef35bc3fc65d90ff"),
+    ("pow:4", 16, "758717f06d0663ff256758b7049897fa287cf57bd091d8424b3ed10509791306", "403d9ebe6a8ba2590304ae050e7bdf1b3b51c4d750be038a174154e105edcae0"),
+    ("pow:5", 2, "66637fa251a236d08d9bbde9590d2d302c06244dfeaf951e22347c1aa7e1791f", "5c3a46a6a65605345b968d47f3b9b3ab29e28e5699cebd081e3bce01316be4f4"),
+    ("pow:5", 10, "5f8f8ade5f92fc873aa9ecd3c8f12c9eb0a0990f775ab8ea2942cd309bcd62e1", "72f1ed68faaa1a8d5ef9741920ad2ef8142ec3fcbe01dde3f60da1ca89ea7b6e"),
+    ("pow:5", 16, "01a5237fd568d60c926eb7b8a30b49b8ca121c4ad27e262d920ee39eaa93b197", "19711c5484c1b8ac3eadff77d66d32a306ede9802df97b70d1d9a587a402076c"),
+    ("pow:6", 2, "a55971588083d7476416061c8551e5d397917d9c57a2eb55000e7f5c7c768765", "b45b5962fe9ae8c9021d9906d8d1afb7db48be986781a98f8764dc48e925f013"),
+    ("pow:6", 10, "5e75c643da798b9f7b771ac0ab744d7e27be200c8814ee56348f7f9e76e5baac", "56400b2f0105e1a792e73231aa8979df6128d18604c8bdad2905a549c85964fb"),
+    ("pow:6", 16, "92871afa7f337fbd5187cd08fc424f588b42f528e7128cac671254bd87f1d3d1", "4e7718728513c8aed48f0639bfad2fb68a26fc01e69d2f5afb8416f2acfbd453"),
+    ("expbase:2", 2, "2d1e2abfa4d9fe02bc6bb5f2bb31c27eb2ee3f1385c76d99739c9baa7a2e9d37", "4a2621d4d5079e4dc970b1ca47c002a7c1f514b8e274b8cf272325a1003954b7"),
+    ("expbase:2", 10, "7a1d09218cf628726803a44237230842dec2e2d3dd814a53f7a2cece80ba8d00", "b6e877e13283fbaf56d78ad61060fce03eb04949c5e28ddae49b422022aad5c1"),
+    ("expbase:2", 16, "66fc8342778cc6f09d0446ca0dcf66cd4ea79f1c33870351a9ae93834e4590fc", "354e44253b5e5a39d86129fb4fec1396c09e384e5560ece2ebbd3aff48050468"),
+    ("expbase:3", 2, "2a0974379b1a91da3578b26af384aa93edf3643f2ab549de3c18fe13b289e0a8", "258aa7ef97951260f1899f77d6fe882e601d1048fe9db4afa6cc02ce8868829a"),
+    ("expbase:3", 10, "1708ade8ecfac0c664700f7668a7518564efcd257fc9c128b98b680f7ae3553e", "6e71affd80ea4ea0d774e260e09a0f401a71f66b58984d68cd0ab22babb127c5"),
+    ("expbase:3", 16, "d96e5ccc43f89c61d6df0adc146d7be8088107a03b07892c3abaf9580309a580", "1cd81a1604945dce62742276ea77efc9c0a01800fd2f16529005acff61a1f66a"),
+    ("expbase:4", 2, "a293bfdc3485dafefdcdb764ac55cbd9d7fc989290cfcc2a34d46641495f12ee", "479f1c8e7e215e2120391edf5ca22338d10fed67422a9ddd2a7589ea9ff53159"),
+    ("expbase:4", 10, "59c71e25ab91b3182051a61ca4db2ae3af1bdfe46a30d0909be98627db560448", "2b1e43812337933e3c1baa796d50abb554c06e94aa283d7d11c71f51beab7dd1"),
+    ("expbase:4", 16, "a1c1eefb2d34d76bca47a852cd98901fa1c1501aeb62c2d0cb103db1efd68c78", "96921c0abee84356f1abd08b8a4ee15c7167703e72fe551ef2de161b6b0f336e"),
+    ("selfpow", 2, "c82a2252f7c7e4d642538479c4f4f9db8007d8a3b1f75cbc62fce4321858e4de", "210541340424d472679831f57290b856542b66aeefa55143c8b8a939b4d038bd"),
+    ("selfpow", 10, "51de86a6665f9896a39049292ef26848c9391253359d70f9c4522a4ca1448218", "e3f8c6f06759e8471a63e4fa96ea71915b0ec9a48c10e7a743235c33f5b17be0"),
+    ("selfpow", 16, "5b204e47aaf850d2687bfd3eafa33069263489d8f1e803f61a9760e7f4163699", "10295fdf03f663043348f45f71a70fc6950f0cb1e4b188efdc67a457aa4a3649"),
+    ("selfpow:0", 2, "c82a2252f7c7e4d642538479c4f4f9db8007d8a3b1f75cbc62fce4321858e4de", "aecb047e7f8fd57d42ab903b9b90f986f054339d58be2049aa83c3f06cb706f9"),
+    ("selfpow:0", 10, "51de86a6665f9896a39049292ef26848c9391253359d70f9c4522a4ca1448218", "0be1ff8c09c3e0109a9bed35481324724ee17d55b96df98d733c9ba94eddbf0b"),
+    ("selfpow:0", 16, "5b204e47aaf850d2687bfd3eafa33069263489d8f1e803f61a9760e7f4163699", "8eef9803252b7b46a26566ada1feeeeb69e9576562bea047c282aa494ddec8b3"),
+    ("fib", 2, "73088b77a10219db1fe70b2fe1f7f5136da645788f32149bff33f65621b91751", "83c1b4e9590791d015f1e1e091c06225149c52258465113b56f5b707aa22b6f4"),
+    ("fib", 10, "1447f0d9262c6f737afafbd20466955c265836c8e061d6aaebb6341fb2ccbf69", "2f0c761e1b302a641218f91dfc97129b165cd9485d84e8bf13f8d9bcc5cb3124"),
+    ("fib", 16, "c5a9b1066e6429f34c1bcd7dab9a4e65878c8e1811381109c30b197a0a2c2970", "3d55a97708a5f905e166b65a204dc4efa8c883f97f9c7ef532a6bf956dfcd9dc"),
+    ("poly:1/2,1/2,0", 2, "804f92598beb7f4b6a7d9d4dd696c1bc22fbe9e961b6aa8c15d2faace45d7bca", "a56a4e92af62e6091a118310c507b675c5b2bd1f304358e2ee56629d87e2c513"),
+    ("poly:1/2,1/2,0", 10, "e76a8dd6dd9271fc31293df0b298efa588b496f5af2a2d5b42723d79f38400a5", "be049fe1917682889a08fb72a3c2f5df24ba860eed6d17ff071c963f9bef95d3"),
+    ("poly:1/2,1/2,0", 16, "ab1fdac4b978de7ddddac3b462b4cd98405a4698627f19d64e04f965815f8383", "c7dcc65e0f0a601f0357b6678a884d33804df1f7107793b367147f638cfdf95c"),
+]
+
+
+@pytest.mark.parametrize("fn, base, text, records", GOLDEN_WELLS, ids=[f"{f} {b}" for f, b, _, _ in GOLDEN_WELLS])
+def test_bound_wells_is_frozen(capsys, fn, base, text, records):
+    for fmt, digest in (("text", text), ("records", records)):
+        code, out, err = run(capsys, "bound", "wells", "--fn", fn, "--base", str(base), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # Each runner hands main its records and its text lines, and main writes the
 # ones --format names.  Both are built only when main asks for them: with every
 # text renderer raising, records mode still succeeds, and with the record writer

@@ -484,6 +484,16 @@ class TestAutoEngine:
         assert hits.engine == "scan"
         assert [h.value for h in hits] == [1]
 
+    def test_a_base_above_the_budget_goes_straight_to_the_scan(self, monkeypatch):
+        # the multiset engine's per-digit tables alone would cost a million entries
+        def refuse(*args):
+            raise AssertionError("auto ran the multiset engine")
+
+        monkeypatch.setattr(digitfix.search, "_multiset_search", refuse)
+        hits = search_hardy(SearchConfig(spec=FunctionSpec.power(3), base=10**6, cap=10))
+        assert hits.engine == "scan"
+        assert [h.value for h in hits] == [1]
+
     def test_other_searches_name_no_engine(self):
         assert search_reversal(10, 6).engine is None
         assert search_armstrong(4).engine is None
