@@ -17,7 +17,7 @@ Three shapes of result:
 """
 
 from ._record import Record
-from .digitops import _check_base, digit_count
+from .digitops import _check_base, _check_width, digit_count
 from .errors import ConfigurationError, UnsupportedFunctionError
 from .families import decimal_str
 from .funcatalog import FunctionSpec, evaluate, fibonacci, images
@@ -97,17 +97,21 @@ def hardy_bound(spec: FunctionSpec, base: int, width: int = 1) -> BoundReport:
     An m-block solution satisfies both n <= m*s_k and n >= b**(k(m-1)) (the
     top block is nonzero), so once the power passes m*s_k no solution with
     that many blocks exists.  The predicate persists: b**k >= 2 gives
-    b**(km) >= 2*b**(k(m-1)) > 2m*s_k >= (m+1)*s_k for m >= 1.
+    b**(km) >= 2*b**(k(m-1)) > 2m*s_k >= (m+1)*s_k for m >= 1.  The walk for
+    M starts at m = digit_count(s_k) in radix b**k, not at m = 1: every m
+    below it has b**(k(m-1)) <= s_k <= m*s_k, so none of them can be M.
     """
     _check_base(base)
-    if width < 1:
-        raise ConfigurationError(f"block width must be at least 1, got {width}")
+    _check_width(width)
     radix = base**width
     s_k = _max_over_block(spec, radix)
     # decimal_str: the numbers can pass the interpreter's int-to-str digit limit
     r, s = decimal_str(radix), decimal_str(s_k)
     lines = [f"s = max F(v) for v in [0, {r}) = {s}"]
-    m, power = 1, 1  # power = radix**(m-1), carried from step to step
+    # no m below digit_count(s_k) can be M (radix**(m-1) <= s_k <= m*s_k
+    # there); power = radix**(m-1), carried from step to step
+    m = digit_count(s_k, radix)
+    power = radix ** (m - 1)
     while power <= m * s_k:
         m += 1
         power *= radix

@@ -28,6 +28,11 @@ def _check_base(base: int) -> None:
         raise ConfigurationError(f"numeral base must be at least 2, got {base}")
 
 
+def _check_width(width: int) -> None:
+    if width < 1:
+        raise ConfigurationError(f"block width must be at least 1, got {width}")
+
+
 def _check_natural(n: int) -> None:
     if n < 0:
         raise ValueError(f"expected a natural number, got {n}")
@@ -81,8 +86,7 @@ def group_blocks(n: int, base: int, width: int) -> tuple[int, ...]:
     """
     _check_base(base)
     _check_natural(n)
-    if width < 1:
-        raise ConfigurationError(f"block width must be at least 1, got {width}")
+    _check_width(width)
     radix = base**width
     if n == 0:
         return (0,)
@@ -100,8 +104,7 @@ def from_blocks(blocks, base: int, width: int) -> int:
     Needs at least one block, each in ``0 .. base**width - 1``.
     """
     _check_base(base)
-    if width < 1:
-        raise ConfigurationError(f"block width must be at least 1, got {width}")
+    _check_width(width)
     if not blocks:
         raise ValueError("block vector must hold at least one block")
     radix, value = base**width, 0

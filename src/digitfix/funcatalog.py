@@ -13,6 +13,10 @@ coefficients are listed leading-first, so ``poly:1,0,0`` is x^2; coefficients
 may be fractions such as ``1/2``.  Only polynomial specs import ``fractions``,
 when one is built.
 
+Each kind is one row of ``_KINDS``: its text name, the field it reads, how
+its summands print and how a walk steps it.  Only :func:`evaluate` and the
+constructors and checks of :class:`FunctionSpec` name kinds of their own.
+
 Nothing is cached: :func:`evaluate` computes each value afresh, and a walk
 over consecutive arguments steps along :func:`images` instead.
 """
@@ -33,17 +37,30 @@ __all__ = [
     "subfactorial",
 ]
 
-_KINDS = (
-    "power",
-    "self_power",
-    "exp_base",
-    "factorial",
-    "subfactorial",
-    "fibonacci",
-    "polynomial",
-)
-# the field each kind reads besides ``kind``; no other kind may set it
-_OWN_FIELD = {"power": "exponent", "exp_base": "expbase", "polynomial": "coeffs"}
+
+class _Kind(Record):
+    """One row of ``_KINDS``: ``name`` begins the spec text; ``field`` is the
+    one field the kind reads besides ``kind``, which no other kind may set and
+    the text gives after a colon unless it holds its default; ``read`` turns
+    that text back into the field, or into None where the kind never takes
+    it; ``term`` prints one summand F(x); ``step`` gives F(x) from F(x - 1)
+    with one multiplication, where the kind has one."""
+
+    _defaults = {"field": None, "read": None, "step": None}
+    __slots__ = ("name", "term", *_defaults)
+
+
+_KINDS = {
+    "power": _Kind("pow", "{x}^{spec.exponent}", "exponent", int),
+    "self_power": _Kind("selfpow", "{x}^{x}", "zero_self_power", {"0": 0}.get),
+    "exp_base": _Kind(
+        "expbase", "{spec.expbase}^{x}", "expbase", int, lambda spec, x, v: spec.expbase * v
+    ),
+    "factorial": _Kind("factorial", "{x}!", step=lambda spec, x, v: x * v),
+    "subfactorial": _Kind("subfactorial", "!{x}", step=lambda spec, x, v: _next_subfactorial(x, v)),
+    "fibonacci": _Kind("fib", "F({x})"),
+    "polynomial": _Kind("poly", "p({x})", "coeffs", lambda arg: arg.split(",")),
+}
 
 
 class FunctionSpec(Record):
@@ -67,11 +84,10 @@ class FunctionSpec(Record):
             raise ConfigurationError("polynomial needs at least one coefficient")
         if zero_self_power not in (0, 1):
             raise ConfigurationError("zero_self_power must be 0 or 1")
-        for name in _OWN_FIELD.values():
-            if getattr(self, name) is not None and _OWN_FIELD.get(kind) != name:
+        own = _KINDS[kind].field
+        for name, default in self._defaults.items():
+            if name != own and getattr(self, name) != default:
                 raise ConfigurationError(f"a {kind} spec takes no {name}")
-        if zero_self_power == 0 and kind != "self_power":
-            raise ConfigurationError(f"a {kind} spec takes no zero_self_power")
 
     # -- constructors ------------------------------------------------------
     # Each passes every field in order, the fast path of Record's constructor.
@@ -111,61 +127,40 @@ class FunctionSpec(Record):
     @property
     def text(self) -> str:
         """Canonical text form; ``parse_spec(spec.text) == spec``."""
-        if self.kind == "power":
-            return f"pow:{self.exponent}"
-        if self.kind == "self_power":
-            return "selfpow" if self.zero_self_power else "selfpow:0"
-        if self.kind == "exp_base":
-            return f"expbase:{self.expbase}"
-        if self.kind == "fibonacci":
-            return "fib"
-        if self.kind == "polynomial":
-            return "poly:" + ",".join(str(c) for c in self.coeffs)
-        return self.kind
+        row = _KINDS[self.kind]
+        if row.field is None or getattr(self, row.field) == self._defaults[row.field]:
+            return row.name
+        value = getattr(self, row.field)
+        return f"{row.name}:{','.join(map(str, value)) if isinstance(value, tuple) else value}"
 
     def term(self, x: int) -> str:
         """Render one summand F(x) for display, e.g. ``4!`` or ``5^5``."""
-        if self.kind == "power":
-            return f"{x}^{self.exponent}"
-        if self.kind == "self_power":
-            return f"{x}^{x}"
-        if self.kind == "exp_base":
-            return f"{self.expbase}^{x}"
-        if self.kind == "factorial":
-            return f"{x}!"
-        if self.kind == "subfactorial":
-            return f"!{x}"
-        if self.kind == "fibonacci":
-            return f"F({x})"
-        return f"p({x})"
+        return _KINDS[self.kind].term.format(x=x, spec=self)
 
     def __call__(self, x: int) -> int:
         return evaluate(self, x)
 
 
 def parse_spec(text: str) -> FunctionSpec:
-    """Parse the canonical spec grammar; anything else raises ConfigurationError."""
+    """Parse the canonical spec grammar; anything else raises ConfigurationError.
+
+    A name alone leaves its kind's field at the default, so it names a spec
+    only where that default is a value; after a colon, the row reads the field.
+    """
     head, sep, arg = text.partition(":")
-    try:
-        if head == "pow" and sep:
-            return FunctionSpec.power(int(arg))
-        if head == "expbase" and sep:
-            return FunctionSpec.exp_base(int(arg))
-        if head == "poly" and sep:
-            return FunctionSpec.polynomial(arg.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigurationError(f"bad function spec {text!r}: {exc}") from exc
-    if text == "selfpow:0":
-        return FunctionSpec.self_power(0)
-    if sep == "":
-        if head == "selfpow":
-            return FunctionSpec.self_power()
-        if head == "factorial":
-            return FunctionSpec.factorial()
-        if head == "subfactorial":
-            return FunctionSpec.subfactorial()
-        if head == "fib":
-            return FunctionSpec.fibonacci()
+    for kind, row in _KINDS.items():
+        if row.name != head:
+            continue
+        make = getattr(FunctionSpec, kind)  # each constructor bears its kind's name
+        if not sep and (row.field is None or FunctionSpec._defaults[row.field] is not None):
+            return make()
+        if sep and row.read:
+            try:
+                value = row.read(arg)
+                if value is not None:
+                    return make(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ConfigurationError(f"bad function spec {text!r}: {exc}") from exc
     raise ConfigurationError(f"bad function spec {text!r}")
 
 
@@ -256,21 +251,13 @@ def evaluate(spec: FunctionSpec, x: int) -> int:
     return int(acc)
 
 
-# the value at x from the value at x - 1, one multiplication per step
-_STEPS = {
-    "factorial": lambda spec, x, previous: x * previous,
-    "subfactorial": lambda spec, x, previous: _next_subfactorial(x, previous),
-    "exp_base": lambda spec, x, previous: spec.expbase * previous,
-}
-
-
 def images(spec: FunctionSpec, start: int, stop: int | None = None):
     """F(start), F(start + 1), ..., F(stop - 1), or without end when stop is None.
 
-    Factorial, subfactorial and exp_base step from the value before with one
-    multiplication; the other kinds evaluate each x, as :func:`evaluate` does.
+    A kind whose row has a ``step`` takes each value from the one before with
+    one multiplication; the other kinds evaluate each x, as :func:`evaluate` does.
     """
-    step = _STEPS.get(spec.kind)
+    step = _KINDS[spec.kind].step
     value = None
     for x in count(start) if stop is None else range(start, stop):
         value = evaluate(spec, x) if value is None or step is None else step(spec, x, value)

@@ -89,7 +89,7 @@ from .bounds import (
     hardy_bound,
     wells_cutoff,
 )
-from .digitops import _check_base, digit_count, digit_sum, group_blocks, reverse_digits
+from .digitops import _check_base, _check_width, digit_count, digit_sum, group_blocks, reverse_digits
 from .errors import ConfigurationError, UnsupportedFunctionError
 from .families import elide_numeral
 from .funcatalog import FunctionSpec, evaluate, images, parse_spec
@@ -121,6 +121,12 @@ __all__ = [
 _TABLE_SPAN = 1 << 17  # max chunk-table length per (spec, base, width)
 _REVERSAL_HIT_BUDGET = 100_000  # most hits one reversal search lists, about 2 s at 50 digits
 
+
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and cap < 1:
+        raise ConfigurationError(f"cap must be at least 1, got {cap}")
+
+
 # -- result records -----------------------------------------------------------
 
 
@@ -140,14 +146,12 @@ class SearchConfig(Record):
     def _check(self) -> None:
         base, width, engine, cap = self.base, self.width, self.engine, self.cap
         _check_base(base)
-        if width < 1:
-            raise ConfigurationError(f"block width must be at least 1, got {width}")
+        _check_width(width)
         if engine not in ("auto", "scan", "multiset"):
             raise ConfigurationError(f"unknown engine {engine!r}")
         if engine == "multiset" and width != 1:
             raise ConfigurationError("the multiset engine requires block width 1")
-        if cap is not None and cap < 1:
-            raise ConfigurationError(f"cap must be at least 1, got {cap}")
+        _check_cap(cap)
 
 
 class SearchHit(Record):
@@ -529,11 +533,10 @@ def _last_walked(cap: int | None, threshold, cutoff) -> tuple[int, int]:
     and the last n it walks, the smaller of the two.  A capped search derives
     its cutoff only once the cap reaches threshold(), below which the walk to
     the cap costs less, and walks to the cap where the cutoff cannot be derived."""
+    _check_cap(cap)
     if cap is None:
         last = cutoff() - 1
         return last, last
-    if cap < 1:
-        raise ConfigurationError(f"cap must be at least 1, got {cap}")
     try:
         if cap >= threshold():
             return cap, min(cap, cutoff() - 1)
@@ -627,8 +630,7 @@ def search_powersum(
     engine names run it; ``scan`` is kept for the command lines that name it."""
     if engine not in ("preimage", "scan"):
         raise ConfigurationError(f"unknown power-sum engine {engine!r}")
-    if cap is not None and cap < 1:
-        raise ConfigurationError(f"cap must be at least 1, got {cap}")
+    _check_cap(cap)
     if p < 2:
         raise ConfigurationError(f"power-sum exponent must be at least 2, got {p}")
     roots = search_dudeney(FunctionSpec.power(p), base, include_zero=include_zero)

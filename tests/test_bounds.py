@@ -212,6 +212,17 @@ class TestCertificates:
             for n in range(report.n_max + 1, report.n_max + 200):
                 assert oracle_block_fsum(n, base**width, spec) != n
 
+    # radices past the generated ones, where the threshold walk, which starts
+    # at digit_count(s_k), ends between 4 and 1 297 blocks
+    @pytest.mark.parametrize(
+        "fn,base,width",
+        [("selfpow", 36, 2), ("factorial", 36, 2), ("pow:3", 200, 1), ("subfactorial", 200, 1),
+         ("expbase:7", 1000, 1), ("poly:1/2,1/2,0", 1000, 1)],
+    )
+    def test_hardy_reports_at_large_radices(self, fn, base, width):
+        spec = parse_spec(fn)
+        check_hardy_report(hardy_bound(spec, base, width), spec, base, width)
+
     @settings(max_examples=120, deadline=None)
     @given(fn=st.sampled_from(CERTIFIED_SPECS), base=st.integers(2, 36))
     def test_wells_reports(self, fn, base):
