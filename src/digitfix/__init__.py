@@ -13,84 +13,23 @@ and ``fractions``, ``decimal`` and ``importlib.resources`` are imported
 inside the functions that need them (polynomial specs, numerals past 640
 digits, the corpus).  ``tests/test_cli.py::test_import_loads_no_process_pool``
 enforces this.
+
+Each public name is declared once, in the ``__all__`` of the module that
+defines it; the package re-exports the six lists and sorts them into its
+own ``__all__``.  Names only the modules share (``search.run_search``,
+``families.elide_numeral`` and the like) are imported from their modules.
 """
 
-from .bounds import (
-    BoundReport,
-    CutoffReport,
-    PowerSumBound,
-    dudeney_cutoff,
-    hardy_bound,
-    powersum_bound,
-    wells_cutoff,
-)
-from .digitops import (
-    digit_count,
-    digit_sum,
-    from_blocks,
-    group_blocks,
-    reverse_digits,
-)
-from .errors import ConfigurationError, UnsupportedFunctionError
-from .families import (
-    ConcatSquarePair,
-    PiezasParams,
-    piezas_generate,
-    reflect_pair,
-    verify_concat_square,
-    vitalis_generate,
-)
-from .funcatalog import FunctionSpec, evaluate, factorial, fibonacci, parse_spec, subfactorial
-from .search import (
-    SearchConfig,
-    SearchHit,
-    armstrong_order_ceiling,
-    search_armstrong,
-    search_dudeney,
-    search_hardy,
-    search_powersum,
-    search_reversal,
-    search_wells,
-    search_wells_reverse,
-)
+from .bounds import *
+from .digitops import *
+from .errors import *
+from .families import *
+from .funcatalog import *
+from .search import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "ConcatSquarePair",
-    "ConfigurationError",
-    "CutoffReport",
-    "FunctionSpec",
-    "PiezasParams",
-    "PowerSumBound",
-    "SearchConfig",
-    "SearchHit",
-    "UnsupportedFunctionError",
-    "armstrong_order_ceiling",
-    "digit_count",
-    "digit_sum",
-    "dudeney_cutoff",
-    "evaluate",
-    "factorial",
-    "fibonacci",
-    "from_blocks",
-    "group_blocks",
-    "hardy_bound",
-    "parse_spec",
-    "piezas_generate",
-    "powersum_bound",
-    "reflect_pair",
-    "reverse_digits",
-    "search_armstrong",
-    "search_dudeney",
-    "search_hardy",
-    "search_powersum",
-    "search_reversal",
-    "search_wells",
-    "search_wells_reverse",
-    "subfactorial",
-    "verify_concat_square",
-    "vitalis_generate",
-    "wells_cutoff",
-]
+__all__ = sorted(
+    bounds.__all__ + digitops.__all__ + errors.__all__
+    + families.__all__ + funcatalog.__all__ + search.__all__
+)

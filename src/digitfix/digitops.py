@@ -6,6 +6,8 @@ by integer power comparisons, which keeps boundary cases like
 ``digit_count(b**m) == m + 1`` exact where a ``log`` would be off by one.
 :func:`digit_count` costs one power of the base, O(M(n)) for the cost M(n)
 of multiplying numbers of n's size, not the O(n**2) of repeated division.
+:func:`digit_sum` halves a number over 2048 bits at powers of the base, so
+its divisions by the base act on short pieces, not on the whole number.
 
 Digit and block sequences are stored least-significant first throughout.
 """
@@ -39,9 +41,25 @@ def _check_natural(n: int) -> None:
 
 
 def digit_sum(n: int, base: int) -> int:
-    """Sum of the canonical digits of ``n`` in ``base``; ``digit_sum(0) == 0``."""
+    """Sum of the canonical digits of ``n`` in ``base``; ``digit_sum(0) == 0``.
+
+    Dividing by the base once per digit costs time quadratic in the digit
+    count, so an ``n`` over 2048 bits is split by one ``divmod`` at
+    ``base**(m // 2)``, m its digit count, and the halves' digit sums added
+    (the powers are cached within the call).
+    """
     _check_base(base)
     _check_natural(n)
+    return _digit_sum(n, base, {})
+
+
+def _digit_sum(n: int, base: int, powers: dict[int, int]) -> int:
+    if n.bit_length() > 2048 and n >= base:  # one digit of a huge base stays whole
+        half = digit_count(n, base) // 2
+        if half not in powers:
+            powers[half] = base**half
+        high, low = divmod(n, powers[half])
+        return _digit_sum(high, base, powers) + _digit_sum(low, base, powers)
     total = 0
     while n:
         n, r = divmod(n, base)

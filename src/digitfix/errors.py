@@ -5,6 +5,8 @@ violations of a catalog function).  The two classes below exist so the CLI can
 map failure modes onto distinct exit codes.
 """
 
+__all__ = ["ConfigurationError", "UnsupportedFunctionError"]
+
 
 class ConfigurationError(ValueError):
     """Invalid configuration: bad base, bad flag combination, unparsable spec."""

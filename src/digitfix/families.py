@@ -36,23 +36,15 @@ from .digitops import digit_count
 from .errors import ConfigurationError
 
 __all__ = [
-    "SEED_PAIRS",
     "ConcatSquarePair",
     "PiezasParams",
-    "decimal_str",
-    "elide_numeral",
     "piezas_generate",
-    "piezas_numerals",
     "reflect_pair",
     "verify_concat_square",
     "vitalis_generate",
 ]
 
 FERMAT_PRIMES = {2: 17, 3: 257, 4: 65537}
-
-# The two-digit pairs satisfying the concatenation identity; the Fermat-prime
-# formula starts at twelve digits and never produces them.
-SEED_PAIRS = ((12, 33, 2), (88, 33, 2))
 
 
 class PiezasParams(Record):

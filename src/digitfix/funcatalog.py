@@ -32,7 +32,6 @@ __all__ = [
     "evaluate",
     "factorial",
     "fibonacci",
-    "images",
     "parse_spec",
     "subfactorial",
 ]

@@ -95,18 +95,9 @@ from .families import elide_numeral
 from .funcatalog import FunctionSpec, evaluate, images, parse_spec
 
 __all__ = [
-    "FAMILIES",
-    "FAMILY_TABLE",
-    "Hits",
     "SearchConfig",
     "SearchHit",
-    "armstrong_hit",
     "armstrong_order_ceiling",
-    "dudeney_hit",
-    "hardy_hit",
-    "powersum_hit",
-    "reversal_hit",
-    "run_search",
     "search_armstrong",
     "search_dudeney",
     "search_hardy",
@@ -114,8 +105,6 @@ __all__ = [
     "search_reversal",
     "search_wells",
     "search_wells_reverse",
-    "wells_hit",
-    "wells_reverse_hit",
 ]
 
 _TABLE_SPAN = 1 << 17  # max chunk-table length per (spec, base, width)
@@ -826,7 +815,6 @@ FAMILY_TABLE = {
         pairs=True,
     ),
 }
-FAMILIES = tuple(FAMILY_TABLE)
 
 
 def run_search(family: str, params) -> Hits:

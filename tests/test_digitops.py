@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitfix.digitops import (
@@ -80,6 +80,30 @@ class TestDigitSum:
     @given(naturals, bases)
     def test_bounded_by_digit_count(self, n, b):
         assert 0 <= digit_sum(n, b) <= (b - 1) * digit_count(n, b)
+
+    # above 2048 bits digit_sum splits n at a power of the base; the split
+    # must neither drop nor double-count a digit
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40_000).flatmap(
+            lambda bits: st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1)
+        ),
+        st.integers(min_value=2, max_value=1000),
+    )
+    def test_matches_the_per_digit_oracle(self, n, b):
+        assert digit_sum(n, b) == oracle_digit_sum(n, b)
+
+    @pytest.mark.parametrize("b", [2, 3, 7, 10, 16, 997, 1000])
+    def test_powers_of_the_base_on_both_sides_of_the_split(self, b):
+        below = max(e for e in range(1, 2049) if (b**e).bit_length() <= 2048)
+        for e in [*range(below - 2, below + 4), 3 * below + 1, 7 * below]:
+            for n, expected in ((b**e - 1, e * (b - 1)), (b**e, 1), (b**e + 1, 2)):
+                assert digit_sum(n, b) == expected == oracle_digit_sum(n, b)
+
+    def test_a_digit_of_a_base_above_the_split(self):
+        b = 3**2000
+        assert digit_sum(b - 1, b) == b - 1
+        assert digit_sum(b * b + 5 * b + 7, b) == 13
 
 
 class TestDigitCount:

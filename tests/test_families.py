@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitfix import families
+from digitfix.corpus import load_corpus
 from digitfix.digitops import digit_count
 from digitfix.errors import ConfigurationError
 from digitfix.families import (
-    SEED_PAIRS,
     PiezasParams,
     decimal_str,
     elide_numeral,
@@ -108,8 +108,11 @@ class TestVerifyConcatSquare:
     def test_seed_pairs(self):
         assert verify_concat_square(12, 33, 2)
         assert verify_concat_square(88, 33, 2)
-        for x, y, k in SEED_PAIRS:
-            assert verify_concat_square(x, y, k)
+        pairs = {entry.id: entry.expected for entry in load_corpus()}
+        for name in ("pair-12-33", "pair-88-33"):
+            pair = pairs[name]
+            assert pair["verifies"]
+            assert verify_concat_square(pair["x"], pair["y"], pair["block_length"])
 
     def test_counterexample(self):
         assert not verify_concat_square(12, 34, 2)

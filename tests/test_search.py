@@ -14,7 +14,6 @@ from digitfix.errors import ConfigurationError, UnsupportedFunctionError
 from digitfix.funcatalog import FunctionSpec, evaluate, images, parse_spec
 from digitfix.search import (
     _TABLE_SPAN,
-    FAMILIES,
     FAMILY_TABLE,
     SearchConfig,
     SearchHit,
@@ -1018,13 +1017,13 @@ class TestRunSearch:
         with pytest.raises(ConfigurationError, match=f"no engine '{engine}'"):
             run_search(family, entry)
 
-    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "hardy"])
+    @pytest.mark.parametrize("family", [f for f in FAMILY_TABLE if f != "hardy"])
     def test_refuses_a_block_width_the_family_never_reads(self, family):
         entry = CorpusEntry(id="e", kind="search", expected=[], fn="pow:3", cap=10, digits=2, k=3)
         with pytest.raises(ConfigurationError, match="reads no block width, got k = 3"):
             run_search(family, entry)
 
-    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("family", list(FAMILY_TABLE))
     def test_every_family_returns_the_one_hit_record(self, family):
         entry = CorpusEntry(
             id="e", kind="search", expected=[], fn="pow:3", cap=10**4, max_order=4, digits=4
