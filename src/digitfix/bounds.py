@@ -94,12 +94,13 @@ def _max_over_block(spec: FunctionSpec, radix: int) -> int:
 def hardy_bound(spec: FunctionSpec, base: int, width: int = 1) -> BoundReport:
     """Value ceiling for n = sum of F over the width-``width`` blocks of n.
 
-    An m-block solution satisfies both n <= m*s_k and n >= b**(k(m-1)) (the
-    top block is nonzero), so once the power passes m*s_k no solution with
-    that many blocks exists.  The predicate persists: b**k >= 2 gives
-    b**(km) >= 2*b**(k(m-1)) > 2m*s_k >= (m+1)*s_k for m >= 1.  The walk for
-    M starts at m = digit_count(s_k) in radix b**k, not at m = 1: every m
-    below it has b**(k(m-1)) <= s_k <= m*s_k, so none of them can be M.
+    Only the radix b**k enters: ``hardy_bound(spec, b**k)`` is the same.  An
+    m-block solution satisfies both n <= m*s_k and n >= b**(k(m-1)) (the top
+    block is nonzero), so once the power passes m*s_k no solution with that
+    many blocks exists.  The predicate persists: b**k >= 2 gives b**(km) >=
+    2*b**(k(m-1)) > 2m*s_k >= (m+1)*s_k for m >= 1.  The walk for M starts at
+    m = digit_count(s_k) in radix b**k, not at m = 1: every m below it has
+    b**(k(m-1)) <= s_k <= m*s_k, so none of them can be M.
     """
     _check_base(base)
     _check_width(width)

@@ -1,6 +1,7 @@
 """Exhaustive, bound-pruned searches for each digit fixed-point family.
 
-Two interchangeable engines back the block-summation search:
+Two interchangeable engines back the block-summation search, and take one
+radix: a width-k search in base b is the width-1 search in radix b**k.
 
 * ``scan`` covers every candidate value up to the derived ceiling, one
   table span (up to 2**17 values) at a time.  A value is a hit when its
@@ -28,6 +29,10 @@ Two interchangeable engines back the block-summation search:
 The scan sizes its chunk table to its ceiling n_max: the span is the first
 power of the radix at or above sqrt(n_max), up to 2**17, so the table build
 and the per-span bisections both cost about sqrt(n_max).
+
+Both engines read each digit image above the ceiling as ceiling + 1, and a
+derived ceiling is at least every image; a capped search stops evaluating F
+(but a polynomial) at the first digit past 1 whose image passes its cap.
 
 ``auto``, the default, picks between them without estimating anything: the
 scan's work is known exactly before it starts (its table entries plus ten
@@ -107,7 +112,7 @@ __all__ = [
     "search_wells_reverse",
 ]
 
-_TABLE_SPAN = 1 << 17  # max chunk-table length per (spec, base, width)
+_TABLE_SPAN = 1 << 17  # max chunk-table length per (spec, radix)
 _REVERSAL_HIT_BUDGET = 100_000  # most hits one reversal search lists, about 2 s at 50 digits
 
 
@@ -138,6 +143,7 @@ class SearchConfig(Record):
         _check_width(width)
         if engine not in ("auto", "scan", "multiset"):
             raise ConfigurationError(f"unknown engine {engine!r}")
+        # one level and one image per digit of base**width: --k 9 lists 10**9 images
         if engine == "multiset" and width != 1:
             raise ConfigurationError("the multiset engine requires block width 1")
         _check_cap(cap)
@@ -175,8 +181,8 @@ class Hits(list):
         self.engine = engine
 
 
-def hardy_hit(value: int, base: int, width: int, spec: FunctionSpec) -> SearchHit:
-    images = tuple(evaluate(spec, v) for v in group_blocks(value, base, width))
+def hardy_hit(value: int, radix: int, spec: FunctionSpec) -> SearchHit:
+    images = tuple(evaluate(spec, v) for v in group_blocks(value, radix, 1))
     if sum(images) != value:
         raise ValueError(f"{value} does not equal its block image sum {sum(images)}")
     return SearchHit(value, images, "hardy", spec.text)
@@ -271,9 +277,28 @@ def _table_depth(radix: int, hi: int) -> int:
     return depth
 
 
-def _tables(spec: FunctionSpec, base: int, width: int, depth: int):
-    radix = base**width
-    f_vals = list(images(spec, 0, radix))
+def _clamped_images(spec: FunctionSpec, count: int, ceiling: int) -> list[int]:
+    """F(0), ..., F(count - 1), each image above ceiling read as ceiling + 1.
+
+    Images are naturals, so a value with such a digit has a block F-sum above
+    the ceiling and is no hit either way.  Every kind but polynomial is
+    nondecreasing from d = 2 on (as _max_over_block relies on), so the walk
+    stops at the first image above the ceiling past d = 1; pow:p decides
+    2**p > ceiling as p >= ceiling.bit_length(), without evaluating it.
+    """
+    stop = 2 if spec.kind == "power" and spec.exponent >= ceiling.bit_length() else count
+    f_vals = []
+    for d, image in enumerate(images(spec, 0, min(stop, count))):
+        if image > ceiling:
+            if d >= 2 and spec.kind != "polynomial":
+                break
+            image = ceiling + 1
+        f_vals.append(image)
+    return f_vals + [ceiling + 1] * (count - len(f_vals))
+
+
+def _tables(spec: FunctionSpec, radix: int, depth: int, ceiling: int):
+    f_vals = _clamped_images(spec, radix, ceiling)
     table = f_vals
     for _ in range(depth - 1):
         table = [fh + t for fh in f_vals for t in table]
@@ -281,16 +306,7 @@ def _tables(spec: FunctionSpec, base: int, width: int, depth: int):
     diff = [t - i for i, t in enumerate(table)]
     del table  # table[r] == diff[r] + r; free it before the sort's peak
     index = array("i", sorted(range(span), key=diff.__getitem__))
-    return span, depth, radix, diff, index, f_vals[0]
-
-
-def _chunk_length(v: int, radix: int) -> int:
-    length = 1
-    v //= radix
-    while v:
-        v //= radix
-        length += 1
-    return length
+    return span, diff, index, f_vals[0]
 
 
 def _canonical_fsum(v: int, span: int, depth: int, radix: int, diff, f0: int) -> int:
@@ -301,7 +317,7 @@ def _canonical_fsum(v: int, span: int, depth: int, radix: int, diff, f0: int) ->
         if v:
             total += diff[r] + r  # interior chunk: all depth blocks are real
         else:
-            return total + diff[r] + r - (depth - _chunk_length(r, radix)) * f0
+            return total + diff[r] + r - (depth - digit_count(r, radix)) * f0
 
 
 def _matches(diff, index, target: int, lo: int, hi: int) -> list[int]:
@@ -313,27 +329,27 @@ def _matches(diff, index, target: int, lo: int, hi: int) -> list[int]:
 
 
 def _scan_range(
-    lo: int, hi: int, spec: FunctionSpec, base: int, width: int, depth: int | None = None
+    lo: int, hi: int, spec: FunctionSpec, radix: int, depth: int | None = None
 ) -> list[int]:
-    """Values n in [lo, hi), lo >= 1, equal to their canonical block F-sum.
+    """Values n in [lo, hi), lo >= 1, equal to the F-sum of their radix digits.
 
     depth picks the chunk table (blocks per entry); by default _table_depth(radix, hi).
     """
-    radix = base**width
     if radix > _TABLE_SPAN:
-        # no table: sum F over each value's blocks, without building their tuple
+        # no table: sum F over each value's blocks, all below hi, without a tuple
+        f_vals = _clamped_images(spec, min(radix, hi), hi - 1)
         hits = []
         for n in range(lo, hi):
             total, v = 0, n
             while v:
                 v, r = divmod(v, radix)
-                total += evaluate(spec, r)
+                total += f_vals[r]
             if total == n:
                 hits.append(n)
         return hits
     if depth is None:
         depth = _table_depth(radix, hi)
-    span, depth, radix, diff, index, f0 = _tables(spec, base, width, depth)
+    span, diff, index, f0 = _tables(spec, radix, depth, hi - 1)
     hits: list[int] = []
     for q in range(lo // span, (hi - 1) // span + 1):
         offset = q * span
@@ -439,14 +455,14 @@ def _multiset_length(
 
 
 def _multiset_search(
-    spec: FunctionSpec, base: int, max_len: int, cap: int | None, budget: int = -1
+    spec: FunctionSpec, radix: int, max_len: int, ceiling: int, budget: int = -1
 ) -> list[int] | None:
-    """The hits of lengths 1..max_len, or None once ``budget`` nodes are popped
-    over all lengths."""
-    f_vals = list(images(spec, 0, base))
+    """The hits up to ceiling of lengths 1..max_len, or None once ``budget``
+    nodes are popped over all lengths."""
+    f_vals = _clamped_images(spec, radix, ceiling)
     hits = []
     for m in range(1, max_len + 1):
-        found = _multiset_length(f_vals, base, m, cap, budget)
+        found = _multiset_length(f_vals, radix, m, ceiling, budget)
         if found is None:
             return None
         hits += found[0]
@@ -462,28 +478,28 @@ def search_hardy(cfg: SearchConfig) -> Hits:
     if cfg.spec is None:
         raise ConfigurationError("a function spec is required")
     ceiling = cfg.cap if cfg.cap is not None else hardy_bound(cfg.spec, cfg.base, cfg.width).n_max
-    engine, budget = cfg.engine, -1
+    radix, engine, budget = cfg.base**cfg.width, cfg.engine, -1
     if engine == "auto":
         # a multiset node costs about six table entries, so a budget of a
         # sixth of the scan's work has cost about one scan once it is spent;
         # its per-digit tables cost one entry per digit before any node does
-        budget = _scan_work(cfg.base**cfg.width, ceiling + 1) // 6
-        engine = "multiset" if cfg.width == 1 and cfg.base <= budget else "scan"
+        budget = _scan_work(radix, ceiling + 1) // 6
+        engine = "multiset" if cfg.width == 1 and radix <= budget else "scan"
     if engine == "multiset":
         # a derived ceiling (M-1)*s has exactly M-1 digits, so its lengths are
         # the ones the bound leaves; a ceiling of 0 leaves none
-        length = digit_count(ceiling, cfg.base) if ceiling else 0
-        values = _multiset_search(cfg.spec, cfg.base, length, ceiling, budget)
+        length = digit_count(ceiling, radix) if ceiling else 0
+        values = _multiset_search(cfg.spec, radix, length, ceiling, budget)
         if values is None:
             engine = "scan"  # auto's budget ran out
         else:
             values = [v for v in values if v >= 1]
     if engine == "scan":
-        values = _scan_range(1, ceiling + 1, cfg.spec, cfg.base, cfg.width)
+        values = _scan_range(1, ceiling + 1, cfg.spec, radix)
     if cfg.include_zero and evaluate(cfg.spec, 0) == 0:
         values.append(0)
     values.sort()
-    return Hits([hardy_hit(v, cfg.base, cfg.width, cfg.spec) for v in values], ceiling, engine)
+    return Hits([hardy_hit(v, radix, cfg.spec) for v in values], ceiling, engine)
 
 
 def armstrong_order_ceiling(base: int) -> int:

@@ -923,14 +923,14 @@ class TestEntryPoint:
     the objects start-up loaded, then ``sys.exit``."""
 
     @staticmethod
-    def command(*argv, stdout=subprocess.PIPE, **options):
+    def command(*argv, stdout=subprocess.PIPE, timeout=60, **options):
         import digitfix
 
         src = os.path.dirname(os.path.dirname(digitfix.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         return subprocess.run(
             [sys.executable, "-m", "digitfix.cli", *argv],
-            env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60, **options,
+            env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=timeout, **options,
         )
 
     def test_main_freezes_nothing(self, capsys):
@@ -991,6 +991,30 @@ class TestEntryPoint:
         assert result.stderr == (
             b"error: stdout cannot take the output: [Errno 28] No space left on device\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, hits",
+        [
+            # 2**(10**20) alone has more digits than memory holds
+            (["--fn", "pow:99999999999999999999", "--cap", "5"], [1]),
+            (["--fn", "factorial", "--base", "100000", "--cap", "10"], [1, 2]),
+            (["--fn", "pow:99999999999999999999", "--base", "1000000", "--cap", "5"], [1]),
+            (["--fn", "selfpow", "--base", "100000", "--cap", "10"], [1]),
+            # no table: the radix passes the table span, and 9! passes the cap
+            (["--fn", "factorial", "--base", "1000000", "--cap", "100000"], [1, 2]),
+        ],
+    )
+    def test_capped_search_evaluates_no_image_far_above_its_cap(self, argv, hits):
+        # a table of every digit image runs out of memory or time here
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        result = self.command("search", "hardy", *argv, "--format", "records",
+                              preexec_fn=limit_memory, timeout=20)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert [json.loads(line)["value"] for line in result.stdout.splitlines()] == hits
 
     def test_stdout_closed_at_start_exits_two_with_one_line(self):
         # `digitfix ... >&-`: the interpreter starts with sys.stdout None

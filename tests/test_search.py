@@ -3,13 +3,13 @@ import sys
 from math import comb
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import digitfix.search
 from digitfix.bounds import dudeney_cutoff, hardy_bound, powersum_bound, wells_cutoff
 from digitfix.corpus import CorpusEntry
-from digitfix.digitops import group_blocks
+from digitfix.digitops import digit_count, group_blocks
 from digitfix.errors import ConfigurationError, UnsupportedFunctionError
 from digitfix.funcatalog import FunctionSpec, evaluate, images, parse_spec
 from digitfix.search import (
@@ -17,6 +17,7 @@ from digitfix.search import (
     FAMILY_TABLE,
     SearchConfig,
     SearchHit,
+    _clamped_images,
     _matches,
     _multiset_length,
     _multiset_search,
@@ -140,7 +141,7 @@ class TestSearchHardy:
         radix = base**width
         assert radix > _TABLE_SPAN
         oracle = [n for n in range(lo, hi) if oracle_block_fsum(n, radix, spec) == n]
-        assert _scan_range(lo, hi, spec, base, width) == oracle == hits
+        assert _scan_range(lo, hi, spec, radix) == oracle == hits
 
     def test_three_digit_blocks(self):
         got = run_hardy("pow:2", width=3)
@@ -237,12 +238,15 @@ class TestIndexedScan:
         # the search sizes its own table; _scan_range is also run on the drawn depth
         assert run_hardy(fn, width=width, cap=cap, zero_pow=zero_pow, base=base) == expected
         spec = with_zero_pow(parse_spec(fn), zero_pow)
-        assert _scan_range(1, cap + 1, spec, base, width, depth) == expected
+        assert _scan_range(1, cap + 1, spec, base**width, depth) == expected
 
     @pytest.mark.parametrize("fn, width", [("pow:7", 1), ("factorial", 1), ("pow:3", 2)])
     def test_index_matches_plain_comparison(self, fn, width):
         spec = parse_spec(fn)
-        span, depth, radix, diff, index, f0 = _tables(spec, 10, width, full_depth(10**width))
+        radix = 10**width
+        depth = full_depth(radix)
+        # a derived ceiling is at least every image, so no entry is clamped
+        span, diff, index, f0 = _tables(spec, radix, depth, hardy_bound(spec, radix).n_max)
         assert span == chunk_span(radix)
         assert sorted(index) == list(range(span))
         for r in range(0, span, 4093):
@@ -255,26 +259,26 @@ class TestIndexedScan:
             rule = oracle_chunk_hits(diff, (depth - level) * f0)
             expected += [i for i in rule if band_lo <= i < band_hi]
             band_lo, level = band_hi, level + 1
-        assert _scan_range(1, span, spec, 10, width, depth) == expected
+        assert _scan_range(1, span, spec, radix, depth) == expected
         # whole chunks above it, including every chunk that holds a known hit
         chunks = {1, 2, 3} | {v // span for v in run_hardy(fn, width=width)}
         for q in sorted(chunks - {0}):
             offset = q * span
             target = offset - oracle_block_fsum(q, radix, spec)
             rule = [offset + i for i in oracle_chunk_hits(diff, target)]
-            assert _scan_range(offset, offset + span, spec, 10, width, depth) == rule, q
+            assert _scan_range(offset, offset + span, spec, radix, depth) == rule, q
 
     def test_partial_first_and_last_chunks(self):
         pow7 = parse_spec("pow:7")
         # the table sized from hi (depth 4) and the full one (depth 5)
         for depth in (None, 5):
-            got = _scan_range(1741725, 9926315, pow7, 10, 1, depth)
+            got = _scan_range(1741725, 9926315, pow7, 10, depth)
             assert got == [1741725, 4210818, 9800817]
-            got = _scan_range(1741726, 9926316, pow7, 10, 1, depth)
+            got = _scan_range(1741726, 9926316, pow7, 10, depth)
             assert got == [4210818, 9800817, 9926315]
         # width 2 (span 10**4): a partial low band, whole chunks, a partial last chunk
         expected = [v for v in oracle_hardy("pow:3", 10, 2, 41833) if v >= 400]
-        assert _scan_range(400, 41834, parse_spec("pow:3"), 10, 2) == expected
+        assert _scan_range(400, 41834, parse_spec("pow:3"), 100) == expected
         assert expected == [407, 1000, 1001, 41833]
 
     def test_scan_above_ten_to_the_eight_uses_the_full_table(self):
@@ -282,7 +286,7 @@ class TestIndexedScan:
         # table to the full depth 5: low band over 5 block lengths, chunks at 10**5
         hi = 10**8 + 1
         assert _table_depth(10, hi) == 5
-        got = _scan_range(1, hi, parse_spec("pow:7"), 10, 1)
+        got = _scan_range(1, hi, parse_spec("pow:7"), 10)
         assert got == [1, 1741725, 4210818, 9800817, 9926315, 14459929]
         assert got == run_hardy("pow:7", engine="multiset", cap=10**8)
 
@@ -305,6 +309,86 @@ class TestIndexedScan:
         # F(0) = 1: every missing leading block of the padded table adds 1
         assert parse_spec(fn)(0) == 1
         assert run_hardy(fn, base=base, cap=cap) == oracle_hardy(fn, base, 1, cap)
+
+
+@st.composite
+def radix_cases(draw):
+    """A catalog F under either 0^0, a base 2-7 and a width 1-3 with base**width <= 400,
+    and a cap up to 10**5."""
+    base = draw(st.integers(2, 7))
+    width = draw(st.sampled_from([k for k in (1, 2, 3) if base**k <= 400]))
+    fn = draw(st.sampled_from(CATALOG_SPEC_TEXTS))
+    return fn, draw(st.sampled_from((0, 1))), base, width, draw(st.integers(1, 10**5))
+
+
+class TestWidthIsARadix:
+    """A width-k search in base b is the width-1 search in radix b**k."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(radix_cases())
+    def test_width_k_equals_width_one_in_radix_b_to_the_k(self, case):
+        fn, zero_pow, base, width, cap = case
+        spec = with_zero_pow(parse_spec(fn), zero_pow)
+        wide = search_hardy(SearchConfig(spec=spec, base=base, width=width, cap=cap))
+        narrow = search_hardy(SearchConfig(spec=spec, base=base**width, engine="scan", cap=cap))
+        assert values(wide) == values(narrow) == oracle_hardy(fn, base, width, cap, zero_pow)
+        assert [h.images for h in wide] == [h.images for h in narrow]
+        assert hardy_bound(spec, base, width).n_max == hardy_bound(spec, base**width, 1).n_max
+
+
+# polynomials may fall and rise, and F(0) may pass the cap; pow:200 passes any
+# cap below 2**200 at the digit 2
+CLAMP_SPEC_TEXTS = [*CATALOG_SPEC_TEXTS, "pow:200", "poly:1,0,100", "poly:1,-20,100"]
+
+
+@st.composite
+def clamp_cases(draw):
+    """A spec, a base 2-16 and a cap, often below F(2), so that the engines
+    read some digit images as cap + 1."""
+    fn = draw(st.sampled_from(CLAMP_SPEC_TEXTS))
+    spec = with_zero_pow(parse_spec(fn), draw(st.sampled_from((0, 1))))
+    base = draw(st.integers(2, 16))
+    below_f2 = st.integers(1, max(1, min(evaluate(spec, 2) - 1, 20_000)))
+    return fn, spec, base, draw(below_f2 | st.integers(1, 20_000))
+
+
+class TestClampedImages:
+    """A capped search reads each image above the cap as cap + 1; no value up
+    to the cap with such a digit is a hit either way."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(clamp_cases())
+    @example(("poly:1,0,100", parse_spec("poly:1,0,100"), 10, 50))
+    @example(("pow:2", parse_spec("pow:2"), 3, 5))  # 5 = 1**2 + 2**2 in base 3
+    def test_capped_engines_equal_oracle(self, case):
+        fn, spec, base, cap = case
+        expected = oracle_hardy(fn, base, 1, cap, spec.zero_self_power)
+        assert _scan_range(1, cap + 1, spec, base) == expected
+        length = digit_count(cap, base)
+        assert sorted(v for v in _multiset_search(spec, base, length, cap) if v >= 1) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(clamp_cases())
+    def test_capped_scan_without_a_table_equals_oracle(self, case):
+        # a radix above the table span sums the images of each value's blocks
+        fn, spec, _, cap = case
+        radix = _TABLE_SPAN + 1
+        expected = oracle_hardy(fn, radix, 1, cap, spec.zero_self_power)
+        assert _scan_range(1, cap + 1, spec, radix) == expected
+
+    def test_images_above_the_cap_are_not_evaluated(self):
+        # 2**(10**20) has more digits than memory holds
+        huge = FunctionSpec.power(10**20)
+        assert _clamped_images(huge, 10, 5) == [0, 1] + [6] * 8
+        # 2**p passes the cap exactly when p reaches its bit length
+        assert _clamped_images(FunctionSpec.power(2), 3, 4) == [0, 1, 4]
+        assert _clamped_images(FunctionSpec.power(3), 3, 7) == [0, 1, 8]
+        factorials = _clamped_images(FunctionSpec.factorial(), 10**5, 10)
+        assert factorials == [1, 1, 2, 6] + [11] * (10**5 - 4)
+        # each polynomial image is clamped on its own: here F falls back below the cap
+        assert _clamped_images(parse_spec("poly:1,-20,100"), 12, 50) == [
+            51, 51, 51, 49, 36, 25, 16, 9, 4, 1, 0, 1,
+        ]
 
 
 class TestSearchArmstrong:
@@ -416,12 +500,12 @@ class TestMultisetEngine:
 
     def test_the_budget_spans_every_length(self):
         spec = parse_spec("pow:3")
-        hits = _multiset_search(spec, 10, 4, None)
+        hits = _multiset_search(spec, 10, 4, 9999)
         nodes = sum(
             -1 - _multiset_length([d**3 for d in range(10)], 10, m, None)[1] for m in range(1, 5)
         )
-        assert _multiset_search(spec, 10, 4, None, nodes) == hits
-        assert _multiset_search(spec, 10, 4, None, nodes - 1) is None
+        assert _multiset_search(spec, 10, 4, 9999, nodes) == hits
+        assert _multiset_search(spec, 10, 4, 9999, nodes - 1) is None
 
 
 @st.composite
@@ -856,7 +940,7 @@ class TestHitVerification:
 
     def test_hardy_hit_rejects_non_solution(self):
         with pytest.raises(ValueError):
-            hardy_hit(146, 10, 1, parse_spec("factorial"))
+            hardy_hit(146, 10, parse_spec("factorial"))
 
     def test_armstrong_hit_rejects(self):
         with pytest.raises(ValueError):
